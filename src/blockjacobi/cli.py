@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_lambda(text: str) -> list[complex]:
+    """A scalar (real or complex literal) or a start:stop:step grid.
+
+    The grid holds the points start + i*step for i = 0, 1, 2, ... up to the
+    last one not above stop + 1e-12 * max(1, |stop|): stop is included when
+    the steps reach it up to rounding.  Each point is computed from i
+    directly, so labels do not drift with the number of steps.
+    """
     parts = text.split(":")
     if len(parts) == 1:
         try:
@@ -62,14 +69,22 @@ def _parse_lambda(text: str) -> list[complex]:
         raise CliError(f"--lambda grid must be numeric, got {text!r}")
     if step <= 0:
         raise CliError("--lambda grid step must be positive")
+    last = b + 1e-12 * max(1.0, abs(b))
     out = []
-    v = a
-    while v <= b + 1e-12 * max(1.0, abs(b)):
+    while (v := a + len(out) * step) <= last:
         out.append(complex(v))
-        v += step
     if not out:
         raise CliError(f"--lambda grid {text!r} is empty")
     return out
+
+
+def _single_lambda(args) -> complex:
+    """The --lambda value of a command that takes one point, not a grid."""
+    lams = _parse_lambda(getattr(args, "lambda"))
+    if len(lams) > 1:
+        raise CliError(f"--lambda must be a single value for this command, "
+                       f"got a {len(lams)}-point grid")
+    return lams[0]
 
 
 def _parse_calib(text):
@@ -136,23 +151,6 @@ def _edge(args, fam) -> float:
     raise CliError("--b is required (family does not declare a spectral edge)")
 
 
-def _st_params(args) -> StParams:
-    fam_spec = args.family or ""
-    if not fam_spec.startswith("st"):
-        raise CliError("example tables need --family st:s=..,t=..[,alpha=..]")
-    params = {}
-    _, _, rest = fam_spec.partition(":")
-    for item in rest.split(","):
-        if not item:
-            continue
-        key, _, val = item.partition("=")
-        params[key.strip()] = float(val)
-    try:
-        return StParams(params["s"], params["t"], params.get("alpha", 0.6))
-    except KeyError as exc:
-        raise CliError(f"st family needs parameter {exc}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies (each returns an exit code)
 # ---------------------------------------------------------------------------
@@ -166,9 +164,10 @@ def _cmd_bounds(args) -> int:
     for lam in lams:
         p = BoundParams(lam=lam, b=b, delta=args.delta, eps=args.eps)
         rows.append((lam, gamma_rate(p), simplified_rate(p), p))
-    for lam, gam, simp, _ in rows:
-        print(f"lambda={_fmt_complex(lam)} gamma={_fmt(gam)} "
-              f"simplified_rate={_fmt(simp)}")
+    if args.out or args.format == "csv":  # else stdout carries the JSON alone
+        for lam, gam, simp, _ in rows:
+            print(f"lambda={_fmt_complex(lam)} gamma={_fmt(gam)} "
+                  f"simplified_rate={_fmt(simp)}")
     lines = [CSV_HEADER,
              f"# command=bounds b={_fmt(b)} delta={_fmt(args.delta)} "
              f"eps={_fmt(args.eps)}"]
@@ -187,8 +186,7 @@ def _cmd_bounds(args) -> int:
         import json
         payload = [{"lambda": [r[0].real, r[0].imag], "gamma": r[1],
                     "simplified_rate": r[2]} for r in rows]
-        if args.out:
-            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     elif args.out:
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -265,7 +263,9 @@ def _cmd_eigs(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    p = _st_params(args)
+    p = _family(args).params
+    if not isinstance(p, StParams):
+        raise CliError("example tables need --family st:s=..,t=..[,alpha=..]")
     table = args.table
     lines = [CSV_HEADER,
              f"# command=example table={table} s={_fmt(p.s)} t={_fmt(p.t)} "
@@ -283,7 +283,7 @@ def _cmd_example(args) -> int:
         scalar_out = _fmt(val)
     elif table == "roots":
         _require(args, ["lambda", "N"])
-        lam = _parse_lambda(getattr(args, "lambda"))[0].real
+        lam = _single_lambda(args).real
         lines.append("n," + ",".join(f"mu{i}_re,mu{i}_im" for i in range(1, 5)))
         n = 2
         ns = []
@@ -298,7 +298,7 @@ def _cmd_example(args) -> int:
             lines.append(f"{n},{vals}")
     elif table == "asymptotic":
         _require(args, ["lambda", "N"])
-        lam = _parse_lambda(getattr(args, "lambda"))[0].real
+        lam = _single_lambda(args).real
         lines.append("n," + ",".join(f"mu{i}_re,mu{i}_im" for i in range(1, 5)))
         for n in sorted({max(2, args.N // 100), max(2, args.N // 10), max(2, args.N)}):
             mu = mu_asymptotic(p, lam, n)
@@ -306,7 +306,7 @@ def _cmd_example(args) -> int:
             lines.append(f"{n},{vals}")
     elif table == "levinson":
         _require(args, ["lambda", "N"])
-        lam = _parse_lambda(getattr(args, "lambda"))[0].real
+        lam = _single_lambda(args).real
         n0 = args.k if args.k is not None else 10
         lines.append("n0,n,log_product,log_closed_form,product,closed_form")
         prof = levinson_profile(p, lam, max(2, n0), args.N)
@@ -338,7 +338,7 @@ def _cmd_verify(args) -> int:
 
     if mode == "eigenvector":
         if lam_text is not None:
-            target = _parse_lambda(lam_text)[0].real
+            target = _single_lambda(args).real
             which = ("nearest", target)
             lam0 = min(target, b - 1.0)
         else:
@@ -410,7 +410,8 @@ def build_parser() -> _Parser:
             ("example", "tables for the built-in 2x2 st family"),
             ("verify", "decay verification reports")]:
         sp = sub.add_parser(name, help=helptext)
-        sp.add_argument("--family", help="built-in spec (st:s=..,t=..,alpha=..; "
+        sp.add_argument("--family", help="built-in spec (st:s=..,t=..[,alpha=..], "
+                        "alpha defaulting to 0.6; "
                         "scalar-free; diagonal-test:adiag=..;..,bdiag=..;..) or "
                         "a JSON table path")
         sp.add_argument("--lambda", dest="lambda", metavar="LAM",

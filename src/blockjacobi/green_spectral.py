@@ -127,7 +127,7 @@ def eigenpairs_below(trunc: Truncation, b: float,
                      tol: float | None = None) -> list[Eigenpair]:
     """All truncation eigenpairs with eigenvalue < b, ascending.
 
-    Eigenvalues come from inertia bisection; vectors from inverse iteration
+    Eigenvalues come from inertia multisection; vectors from inverse iteration
     against the block LU, which keeps exponentially small tails accurate in
     the componentwise-relative sense.  Members of a near-degenerate cluster
     are orthogonalized against each other.  May be empty.

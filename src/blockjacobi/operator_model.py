@@ -44,6 +44,8 @@ class OperatorFamily:
     offdiag(n) -> A_n and diag(n) -> B_n must be deterministic in n and
     defined for every n >= 1 that gets queried; diag(n) must be Hermitian.
     edge_b, when set, is the claimed infimum of the essential spectrum.
+    params, when set, holds the parameters the family was built from
+    (StParams for the st family).
     """
 
     dim: int
@@ -51,6 +53,7 @@ class OperatorFamily:
     diag: Callable[[int], np.ndarray]
     edge_b: float | None = None
     label: str = ""
+    params: object = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -302,7 +305,7 @@ def builtin_family(name: str, **params) -> OperatorFamily:
         from .st_family import StParams, st_family
         try:
             p = StParams(float(params.pop("s")), float(params.pop("t")),
-                         float(params.pop("alpha", 0.5)))
+                         float(params.pop("alpha", 0.6)))
         except KeyError as exc:
             raise ValueError(f"st family needs parameter {exc}") from exc
         if params:

@@ -74,7 +74,7 @@ def st_family(p: StParams) -> OperatorFamily:
 
     edge = 0.0 if abs(s * t - 4.0) <= PHASE_TOL else None
     return OperatorFamily(2, offdiag, diag, edge_b=edge,
-                          label=f"st(s={s},t={t},alpha={alpha})")
+                          label=f"st(s={s},t={t},alpha={alpha})", params=p)
 
 
 def constant_st_family(s: float, t: float) -> OperatorFamily:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from blockjacobi.cli import main
+from blockjacobi.cli import _parse_lambda, main
 
 
 def run_cli(argv, capsys):
@@ -42,10 +42,57 @@ class TestBounds:
         assert code == 1
         assert "error:" in err
 
+    def test_json_to_stdout_without_out(self, capsys):
+        code, out, _ = run_cli(
+            ["bounds", "--lambda=-2:-1:1", "--b=0", "--format", "json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert [r["lambda"] for r in payload] == [[-2.0, 0.0], [-1.0, 0.0]]
+        assert payload[1]["simplified_rate"] == pytest.approx(0.9)
+
     def test_lambda_at_b_is_input_error(self, capsys):
         code, _, err = run_cli(["bounds", "--lambda=1", "--b=0"], capsys)
         assert code == 1
         assert "below" in err
+
+
+class TestLambdaGrid:
+    def test_points_computed_from_index(self):
+        got = [v.real for v in _parse_lambda("-2:-0.5:0.1")]
+        assert got == [-2 + i * 0.1 for i in range(16)]
+
+    def test_stop_included_up_to_rounding(self):
+        assert len(_parse_lambda("0:0.3:0.1")) == 4  # 3 * 0.1 > 0.3 by 1 ulp
+        assert len(_parse_lambda("0:0.35:0.1")) == 4
+
+
+class TestStDefaultAlpha:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--lambda=-1", "--b=0", "--N=5", "--out", "{out}"],
+        ["green", "--lambda=-1", "--N=8"],
+        ["eigs", "--N=20", "--b=3"],
+        ["example", "--table=roots", "--lambda=-1", "--N=8"],
+        ["verify", "--lambda=-1", "--b=0", "--N=20"],
+    ], ids=lambda argv: argv[0])
+    def test_same_operator_in_every_subcommand(self, argv, tmp_path, capsys):
+        def output(family):
+            out = tmp_path / "out.csv"
+            code, text, _ = run_cli(
+                [a.replace("{out}", str(out)) for a in argv]
+                + ["--family", family], capsys)
+            assert code == 0
+            return out.read_text() if "{out}" in argv else text
+
+        implicit = output("st:s=2,t=2")
+        assert implicit == output("st:s=2,t=2,alpha=0.6")
+        assert implicit != output("st:s=2,t=2,alpha=0.5")
+
+    def test_example_header_alpha(self, capsys):
+        code, out, _ = run_cli(
+            ["example", "--family", "st:s=2,t=2", "--table=roots",
+             "--lambda=-1", "--N=2"], capsys)
+        assert code == 0
+        assert "alpha=0.59999999999999998" in out.splitlines()[1]
 
 
 class TestGreen:
@@ -152,6 +199,13 @@ class TestExample:
         row = out.splitlines()[3].split(",")
         assert row[0] == "10" and row[1] == "50"
 
+    def test_grid_rejected(self, capsys):
+        code, _, err = run_cli(
+            ["example", "--family", "st:s=2,t=2", "--table=roots",
+             "--lambda=-2:-1:0.5", "--N=8"], capsys)
+        assert code == 1
+        assert "single value" in err
+
     def test_needs_st_family(self, capsys):
         code, _, err = run_cli(
             ["example", "--family", "scalar-free", "--table=phase"], capsys)
@@ -195,6 +249,18 @@ class TestVerify:
         summary = json.loads(out)
         assert summary["mode"] == "eigenvector"
         assert summary["all_pass"] is True
+
+    def test_eigenvector_mode_rejects_grid(self, tmp_path, capsys):
+        fam = {"dim": 1, "blocks": [
+            {"n": n, "A": [1.0], "B": [-8.0 if n == 1 else 0.0]}
+            for n in range(1, 61)]}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(fam))
+        code, _, err = run_cli(
+            ["verify", "--family", str(path), "--mode", "eigenvector",
+             "--b=-2.5", "--N=60", "--lambda=-9:-8:0.5"], capsys)
+        assert code == 1
+        assert "single value" in err
 
     def test_commuting_mode(self, capsys):
         code, out, _ = run_cli(

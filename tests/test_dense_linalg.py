@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import dense_linalg as dl
@@ -270,6 +270,101 @@ class TestInertiaBisection:
         As = [np.ones((1, 1), complex)] * (N - 1)
         got = dl.tridiag_kth_eigenvalue((Bs, As), 1)
         assert got == pytest.approx(-2 * np.cos(np.pi / (N + 1)), abs=1e-11)
+
+
+def complex_block_problem(seed, d, N):
+    rng = np.random.default_rng(seed)
+    Bs = [random_hermitian(rng, d) for _ in range(N)]
+    As = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+          for _ in range(N - 1)]
+    return Bs, As
+
+
+problems = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
+                     st.integers(1, 40))
+
+
+class TestInertiaProperties:
+    """Batched inertia counts and multisection on random complex Hermitian
+    block problems, against numpy.linalg.eigvalsh."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(problems, st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=12))
+    def test_counts(self, problem, fracs):
+        Bs, As = complex_block_problem(*problem)
+        w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
+        span = max(w[-1] - w[0], 1.0)
+        xs = np.sort(w[0] + span * np.array(fracs))
+        got = dl.tridiag_count_below((Bs, As), xs)
+        assert got.dtype.kind == "i" and got.shape == xs.shape
+        # each shift's count is bitwise independent of the batch around it
+        single = [dl.tridiag_count_below((Bs, As), x) for x in xs]
+        assert all(isinstance(c, int) for c in single)
+        assert got.tolist() == single
+        assert np.all(np.diff(got) >= 0)
+        far = np.abs(xs[:, None] - w[None, :]).min(axis=1) > 1e-8 * span
+        want = (w[None, :] < xs[:, None]).sum(axis=1)
+        assert np.array_equal(got[far], want[far])
+
+    @settings(deadline=None, max_examples=20)
+    @given(problems)
+    def test_multisection_eigenvalues(self, problem):
+        Bs, As = complex_block_problem(*problem)
+        w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
+        n = w.size
+        lo, hi = dl._gershgorin_bounds(*dl._stack_blocks((Bs, As)))
+        tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+        j = min(3, n)
+        # The count carries rounding error of its own, amplified by nearly
+        # singular pivots: on seed 3776, d = 3, N = 3 it switches 2.7e-12
+        # past an eigenvalue, and bisection misses by 2.4 tol there too.
+        # Where the count is wrong within tol / 2 of an eigenvalue no
+        # bracket width helps; elsewhere a bracket no wider than tol has
+        # its midpoint within tol.
+        lam = w[sorted({0, j - 1, n - 1})]
+        probes = np.concatenate([lam - 0.5 * tol, lam + 0.5 * tol])
+        assume(np.array_equal(dl.tridiag_count_below((Bs, As), probes),
+                              (w[None, :] < probes[:, None]).sum(axis=1)))
+        for k in {1, n}:
+            assert abs(dl.tridiag_kth_eigenvalue((Bs, As), k) - w[k - 1]) <= tol
+        b = w[j - 1] + 1.0 if j == n else 0.5 * (w[j - 1] + w[j])
+        below = dl.tridiag_eigs_below((Bs, As), b)
+        assert below.shape == (j,)
+        assert np.all(np.abs(below - w[:j]) <= tol)
+        again = dl.tridiag_eigs_below((Bs, As), b)
+        assert again.tobytes() == below.tobytes()
+
+    @settings(deadline=None, max_examples=20)
+    @given(problems)
+    def test_index_out_of_range(self, problem):
+        Bs, As = complex_block_problem(*problem)
+        n = len(Bs) * Bs[0].shape[0]
+        for k in (0, n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                dl.tridiag_kth_eigenvalue((Bs, As), k)
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
+                     st.integers(1, 10)), st.floats(0.0, 1.0))
+    def test_multisection_is_bisection(self, problem, frac):
+        # bisection with single-shift counts on the same bracket
+        Bs, As = complex_block_problem(*problem)
+        n = len(Bs) * Bs[0].shape[0]
+        k = 1 + int(frac * (n - 1))
+        lo, hi = dl._gershgorin_bounds(*dl._stack_blocks((Bs, As)))
+        tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+        lo, hi = lo - tol, hi + tol
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if dl.tridiag_count_below((Bs, As), mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+        want = 0.5 * (lo + hi)
+        assert dl.tridiag_kth_eigenvalue((Bs, As), k) == want
+        # count(hi) >= k, so the k-th eigenvalue is among those below hi
+        below = dl.tridiag_eigs_below((Bs, As), hi)
+        assert below.size >= k and below[k - 1] == want
 
 
 class TestInverseIteration:
