@@ -9,10 +9,8 @@ above it the whole spectrum marches upward.
 
 import argparse
 
-import numpy as np
-
-from blockjacobi import (StParams, assemble_truncation, min_eigenvalue,
-                         phase_class, st_family)
+from blockjacobi import (StParams, assemble_truncation, phase_class,
+                         st_family, tridiag_kth_eigenvalue)
 
 
 def main() -> int:
@@ -29,8 +27,8 @@ def main() -> int:
     for s in (float(v) for v in args.svals.split(",")):
         for t in (float(v) for v in args.tvals.split(",")):
             fam = st_family(StParams(s, t, args.alpha))
-            m1 = min_eigenvalue(assemble_truncation(fam, args.N1))
-            m2 = min_eigenvalue(assemble_truncation(fam, args.N2))
+            m1 = tridiag_kth_eigenvalue(assemble_truncation(fam, args.N1), 1)
+            m2 = tridiag_kth_eigenvalue(assemble_truncation(fam, args.N2), 1)
             cls = phase_class(s, t)
             print(f"{s:5.2f} {t:5.2f} {s * t:6.2f} {cls.value:<15} "
                   f"{m1:12.4f} {m2:12.4f} {m2 - m1:9.4f}")

@@ -9,10 +9,10 @@ from .dense_linalg import (BlockTridiagLU, EigDecomposition,
                            RootConvergenceError, SingularShiftError,
                            abs_matrix, block_tridiag_factor,
                            block_tridiag_solve, hermitian_eig, poly_roots,
-                           psd_matfunc, spectral_norm)
+                           psd_matfunc, spectral_norm, tridiag_count_below,
+                           tridiag_eigs_below, tridiag_kth_eigenvalue)
 from .green_spectral import (DecayReport, Eigenpair, EmptySpectrumError,
-                             GreenBlockSet, count_below, eigenpairs_below,
-                             green_column, kth_eigenvalue, min_eigenvalue,
+                             GreenBlockSet, eigenpairs_below, green_column,
                              perturbed_truncation, verify_commuting_decay,
                              verify_eigenvector_decay, verify_green_decay)
 from .operator_model import (OperatorFamily, Truncation, apply_upsilon,

@@ -211,6 +211,17 @@ def check_pairwise_commutation(family: OperatorFamily, N: int,
                                    C[i, j] / den[i, j], tol)
 
 
+def _phi_partial_sums(offdiag_blocks, d: int, delta: float) -> list:
+    """Operator partial sums P_m = sum_{i<m} phi_delta(|A_i|) for
+    m = 1..len(offdiag_blocks) + 1, where offdiag_blocks holds A_1, A_2, ...;
+    P_1 = 0."""
+    partials = [np.zeros((d, d), dtype=np.complex128)]
+    for A in offdiag_blocks:
+        partials.append(partials[-1] +
+                        psd_matfunc(abs_matrix(A), lambda x: phi_delta(x, delta)))
+    return partials
+
+
 def operator_envelope(family: OperatorFamily, p: BoundParams, N: int) -> list:
     """Commuting-refinement weights W_m = exp(gamma sum_{k<m} phi_delta(|A_k|)).
 
@@ -220,13 +231,10 @@ def operator_envelope(family: OperatorFamily, p: BoundParams, N: int) -> list:
     check_pairwise_commutation(family, N)
     gam = gamma_rate(p)
     d = family.dim
-    weights = [np.eye(d, dtype=np.complex128)]
-    P = np.zeros((d, d), dtype=np.complex128)
-    for m in range(1, N):
-        A = block_entries(family, m)[0]
-        P = P + psd_matfunc(abs_matrix(A), lambda x: phi_delta(x, p.delta))
-        weights.append(psd_matfunc(P, lambda x: math.exp(gam * x)))
-    return weights
+    partials = _phi_partial_sums(
+        [block_entries(family, m)[0] for m in range(1, N)], d, p.delta)
+    return [np.eye(d, dtype=np.complex128)] + \
+        [psd_matfunc(P, lambda x: math.exp(gam * x)) for P in partials[1:]]
 
 
 def qualified_constant(family: OperatorFamily, p: BoundParams, M: int,

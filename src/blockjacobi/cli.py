@@ -9,16 +9,15 @@ Exit status: 0 on success with all verdicts passing, 2 when a verification
 verdict fails, 1 on input errors (unknown family, malformed file,
 parameter-domain violations).  Identical configurations produce
 bitwise-identical report files; floats are rendered with 17 significant
-digits.  The BJB_THREADS environment variable caps parallel evaluation of
-lambda grids (results merge in input order either way).
+digits.  Lambda grids are evaluated one point after another, in input
+order.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,7 +27,8 @@ from .green_spectral import (CSV_HEADER, EmptySpectrumError, eigenpairs_below,
                              green_column, perturbed_truncation,
                              verify_commuting_decay, verify_eigenvector_decay,
                              verify_green_decay, _fmt, _fmt_complex)
-from .operator_model import assemble_truncation, parse_family_spec
+from .operator_model import (assemble_truncation, offdiag_kernel_flags,
+                             parse_family_spec)
 from .st_family import (StParams, jc_lower_bound, levinson_profile,
                         mu_asymptotic, phase_class, transfer_eigenvalues)
 
@@ -99,27 +99,6 @@ def _parse_calib(text):
         raise CliError(f"--calib must be integer lo:hi, got {text!r}")
 
 
-def _n_workers(njobs: int) -> int:
-    raw = os.environ.get("BJB_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise CliError(f"BJB_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise CliError("BJB_THREADS must be >= 1")
-    else:
-        cap = 4
-    return max(1, min(cap, njobs))
-
-
-def _map_lambdas(fn, lams):
-    if len(lams) == 1:
-        return [fn(lams[0])]
-    with ThreadPoolExecutor(max_workers=_n_workers(len(lams))) as pool:
-        return list(pool.map(fn, lams))  # merged in input order
-
-
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -158,7 +137,7 @@ def _edge(args, fam) -> float:
 def _cmd_bounds(args) -> int:
     _require(args, ["lambda"])
     lams = _parse_lambda(getattr(args, "lambda"))
-    fam = parse_family_spec(args.family) if args.family else None
+    fam = _family(args) if args.family else None
     b = _edge(args, fam)
     rows = []
     for lam in lams:
@@ -183,7 +162,6 @@ def _cmd_bounds(args) -> int:
         for lam, gam, simp, _ in rows:
             lines.append(f"{_fmt_complex(lam)},{_fmt(gam)},{_fmt(simp)}")
     if args.format == "json":
-        import json
         payload = [{"lambda": [r[0].real, r[0].imag], "gamma": r[1],
                     "simplified_rate": r[2]} for r in rows]
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -200,11 +178,7 @@ def _cmd_green(args) -> int:
     if not 1 <= k <= args.N:
         raise CliError(f"--k must lie in 1..{args.N}")
     trunc = assemble_truncation(fam, args.N)
-
-    def one(lam):
-        return green_column(trunc, lam, k).norms()
-
-    results = _map_lambdas(one, lams)
+    results = [green_column(trunc, lam, k).norms() for lam in lams]
     grid = len(lams) > 1
     lines = [CSV_HEADER,
              f"# command=green family={fam.label} N={args.N} k={k}"]
@@ -214,7 +188,6 @@ def _cmd_green(args) -> int:
             prefix = f"{_fmt_complex(lam)}," if grid else ""
             lines.append(f"{prefix}{j},{_fmt(v)}")
     if args.format == "json":
-        import json
         payload = [{"lambda": [lam.real, lam.imag], "k": k,
                     "norms": [float(v) for v in norms]}
                    for lam, norms in zip(lams, results)]
@@ -233,7 +206,6 @@ def _cmd_eigs(args) -> int:
     lines = [CSV_HEADER,
              f"# command=eigs family={fam.label} N={args.N} b={_fmt(b)}",
              "kind,idx,eigenvalue,last_block_norm,boundary_suspect"]
-    from .operator_model import offdiag_kernel_flags
     payload = {"b": b, "N": args.N, "eigenvalues": [],
                "perturbed_eigenvalues": None, "dist": None,
                "offdiag_kernel_trivial":
@@ -255,7 +227,6 @@ def _cmd_eigs(args) -> int:
             payload["dist"] = min(abs(pairs[0].value - pr.value)
                                   for pr in ppairs)
     if args.format == "json":
-        import json
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
@@ -361,7 +332,7 @@ def _cmd_verify(args) -> int:
             p = BoundParams(lam=lam, b=b, delta=args.delta, eps=args.eps)
             return runner(fam, p, args.N, k=k, calibration=calib)
 
-        reports = _map_lambdas(one, lams)
+        reports = [one(lam) for lam in lams]
 
     grid = len(reports) > 1
     if grid:
@@ -376,7 +347,6 @@ def _cmd_verify(args) -> int:
                     f"{_fmt(rep.measured[i])},{_fmt(rep.envelope[i])},"
                     f"{_fmt(rep.ratio[i])},{rep.verdicts[i]}")
         csv_text = "\n".join(body_lines) + "\n"
-        import json
         json_text = json.dumps([r.summary() for r in reports],
                                sort_keys=True, indent=2) + "\n"
     else:
@@ -384,12 +354,10 @@ def _cmd_verify(args) -> int:
         json_text = reports[0].json_text()
 
     if args.out:
-        with open(args.out + ".csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-        with open(args.out + ".json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(json_text)
+        _emit(csv_text, args.out + ".csv")
+        _emit(json_text, args.out + ".json")
     else:
-        sys.stdout.write(json_text if args.format == "json" else csv_text)
+        _emit(json_text if args.format == "json" else csv_text, None)
     ok = all(r.all_pass for r in reports)
     for r in reports:
         print(f"mode={r.mode} lambda={_fmt_complex(r.lam)} fitted_C={_fmt(r.fitted_C)} "

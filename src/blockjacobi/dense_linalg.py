@@ -31,6 +31,7 @@ __all__ = [
     "psd_matfunc",
     "vector_norm",
     "BlockTridiagLU",
+    "block_scale",
     "block_tridiag_factor",
     "block_tridiag_solve",
     "tridiag_apply",
@@ -310,12 +311,26 @@ class BlockTridiagLU:
 
 
 def _unpack_blocks(trunc):
-    """Accept a Truncation-like object (diag_blocks/offdiag_blocks attributes)
-    or a plain (diag_blocks, offdiag_blocks) pair."""
+    """Diagonal and off-diagonal blocks as (N, d, d) and (N-1, d, d) complex
+    arrays, from a Truncation-like object (diag_blocks/offdiag_blocks
+    attributes) or a plain (diag_blocks, offdiag_blocks) pair."""
     if hasattr(trunc, "diag_blocks"):
-        return trunc.diag_blocks, trunc.offdiag_blocks
+        trunc = trunc.diag_blocks, trunc.offdiag_blocks
     diag_blocks, offdiag_blocks = trunc
-    return diag_blocks, offdiag_blocks
+    B = np.asarray(diag_blocks, dtype=np.complex128)
+    if B.ndim != 3 or B.shape[0] == 0:
+        raise ValueError("empty truncation")
+    N, d = B.shape[:2]
+    A = np.asarray(offdiag_blocks, dtype=np.complex128).reshape(N - 1, d, d)
+    return B, A
+
+
+def block_scale(diag_blocks, offdiag_blocks) -> float:
+    """Largest entry magnitude over all blocks, floored at 1e-300: the
+    problem scale of relative tolerances and pivot nudges."""
+    return max(float(np.abs(diag_blocks).max()),
+               float(np.abs(offdiag_blocks).max(initial=0.0)),
+               1e-300)
 
 
 def block_tridiag_factor(trunc, shift,
@@ -330,19 +345,14 @@ def block_tridiag_factor(trunc, shift,
     remain usable (inverse iteration relies on this).
     """
     diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
-    N = len(diag_blocks)
-    if N == 0:
-        raise ValueError("empty truncation")
-    d = diag_blocks[0].shape[0]
+    N, d = diag_blocks.shape[:2]
     I = np.eye(d, dtype=np.complex128)
-    scale = max(max(float(np.abs(B).max()) for B in diag_blocks),
-                max((float(np.abs(A).max()) for A in offdiag_blocks), default=0.0),
-                abs(shift), 1e-300)
+    scale = max(block_scale(diag_blocks, offdiag_blocks), abs(shift))
     bump = 1e-13 * scale
 
     pivots, factors, transforms, forwards = [], [], [], []
     conds = np.empty(N)
-    D = np.array(diag_blocks[0], dtype=np.complex128) - shift * I
+    D = diag_blocks[0] - shift * I
     for k in range(N):
         fac = _lu_factor_small(D)
         if fac is None:
@@ -363,11 +373,10 @@ def block_tridiag_factor(trunc, shift,
         pivots.append(D)
         factors.append(fac)
         if k < N - 1:
-            A = np.asarray(offdiag_blocks[k], dtype=np.complex128)
+            A = offdiag_blocks[k]
             transforms.append(Dinv @ A)
             forwards.append(A.conj().T @ Dinv)
-            D = np.asarray(diag_blocks[k + 1], dtype=np.complex128) - shift * I \
-                - A.conj().T @ (Dinv @ A)
+            D = diag_blocks[k + 1] - shift * I - A.conj().T @ (Dinv @ A)
     return BlockTridiagLU(shift, N, d, tuple(pivots), tuple(factors),
                           tuple(transforms), tuple(forwards), conds)
 
@@ -380,8 +389,7 @@ def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
 def tridiag_apply(trunc, x) -> np.ndarray:
     """Matrix-vector product T @ x for the assembled block tridiagonal."""
     diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
-    N = len(diag_blocks)
-    d = diag_blocks[0].shape[0]
+    N, d = diag_blocks.shape[:2]
     X = np.asarray(x, dtype=np.complex128)
     squeeze = X.ndim == 1
     if squeeze:
@@ -432,21 +440,6 @@ def _herm_eigvals_small(D) -> np.ndarray:
         mid, rad = _herm2_mid_rad(D[0, 0].real, D[1, 1].real, abs(D[0, 1]) ** 2)
         return np.array([mid - rad, mid + rad])
     return hermitian_eig(D).values
-
-
-def _block_scale(diag_blocks, offdiag_blocks) -> float:
-    return max(float(np.abs(np.asarray(diag_blocks)).max()),
-               float(np.abs(np.asarray(offdiag_blocks)).max(initial=0.0)),
-               1e-300)
-
-
-def _stack_blocks(trunc):
-    """Diagonal and off-diagonal blocks as (N, d, d) and (N-1, d, d) arrays."""
-    diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
-    B = np.asarray(diag_blocks, dtype=np.complex128)
-    N, d = B.shape[0], B.shape[1]
-    A = np.asarray(offdiag_blocks, dtype=np.complex128).reshape(N - 1, d, d)
-    return B, A
 
 
 def _count_d1(B, A, x, bump):
@@ -678,12 +671,12 @@ def tridiag_count_below(trunc, x):
     |eigenvalue| is below bump = 1e-13 * max(scale, |x|) is nudged by
     2 * bump * I before elimination, and again if still exactly singular.
     """
-    B, A = _stack_blocks(trunc)
+    B, A = _unpack_blocks(trunc)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"shifts must be a scalar or 1-d, got shape {xs.shape}")
     shifts = np.atleast_1d(xs)
-    bump = 1e-13 * np.maximum(_block_scale(B, A), np.abs(shifts))
+    bump = 1e-13 * np.maximum(block_scale(B, A), np.abs(shifts))
     d = B.shape[1]
     count = {1: _count_d1, 2: _count_d2}.get(d, _count_general)
     neg = count(B, A, shifts, bump)
@@ -755,7 +748,7 @@ def _multisection(blocks, ks, tol):
 
 def tridiag_kth_eigenvalue(trunc, k: int, tol: float | None = None) -> float:
     """k-th smallest eigenvalue (1-based) by inertia multisection."""
-    B, A = _stack_blocks(trunc)
+    B, A = _unpack_blocks(trunc)
     n = B.shape[0] * B.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"eigenvalue index {k} out of range 1..{n}")
@@ -764,7 +757,7 @@ def tridiag_kth_eigenvalue(trunc, k: int, tol: float | None = None) -> float:
 
 def tridiag_eigs_below(trunc, b: float, tol: float | None = None) -> np.ndarray:
     """All eigenvalues of T strictly below b, ascending."""
-    blocks = _stack_blocks(trunc)
+    blocks = _unpack_blocks(trunc)
     count = tridiag_count_below(blocks, b)
     if count == 0:
         return np.zeros(0)
@@ -783,10 +776,8 @@ def tridiag_inverse_iteration(trunc, lam: float,
     which resolves members of a degenerate cluster one at a time.
     """
     blocks = _unpack_blocks(trunc)
-    diag_blocks, offdiag_blocks = blocks
-    N = len(diag_blocks)
-    d = diag_blocks[0].shape[0]
-    scale = max(_block_scale(diag_blocks, offdiag_blocks), abs(lam))
+    N, d = blocks[0].shape[:2]
+    scale = max(block_scale(*blocks), abs(lam))
     sigma = lam + 1e-11 * scale
     lu = block_tridiag_factor(blocks, sigma, check_conditioning=False)
     if start is None:

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (BoundParams, check_pairwise_commutation, gamma_rate,
-                     phi_delta, qualified_constant, scalar_envelope)
+                     qualified_constant, scalar_envelope, _phi_partial_sums)
 from .dense_linalg import (abs_matrix, block_tridiag_factor, hermitian_eig,
                            psd_matfunc, spectral_norm, tridiag_apply,
-                           tridiag_count_below, tridiag_eigs_below,
-                           tridiag_inverse_iteration, tridiag_kth_eigenvalue,
-                           vector_norm)
+                           tridiag_eigs_below, tridiag_inverse_iteration,
+                           tridiag_kth_eigenvalue, vector_norm)
 from .operator_model import (OperatorFamily, Truncation, assemble_truncation,
-                             block_entries, offdiag_kernel_flags)
+                             offdiag_kernel_flags)
 
 __all__ = [
     "GreenBlockSet",
@@ -40,9 +39,6 @@ __all__ = [
     "EmptySpectrumError",
     "green_column",
     "eigenpairs_below",
-    "count_below",
-    "kth_eigenvalue",
-    "min_eigenvalue",
     "perturbed_family",
     "perturbed_truncation",
     "verify_green_decay",
@@ -109,18 +105,6 @@ class Eigenpair:
     def block_norms(self, dim: int) -> np.ndarray:
         v = self.vector.reshape(-1, dim)
         return np.array([vector_norm(row) for row in v])
-
-
-def count_below(trunc: Truncation, x: float) -> int:
-    return tridiag_count_below(trunc, x)
-
-
-def kth_eigenvalue(trunc: Truncation, k: int, tol: float | None = None) -> float:
-    return tridiag_kth_eigenvalue(trunc, k, tol)
-
-
-def min_eigenvalue(trunc: Truncation, tol: float | None = None) -> float:
-    return kth_eigenvalue(trunc, 1, tol)
 
 
 def eigenpairs_below(trunc: Truncation, b: float,
@@ -465,13 +449,7 @@ def verify_commuting_decay(family: OperatorFamily, p: BoundParams, N: int,
     trunc = assemble_truncation(family, N)
     col = green_column(trunc, p.lam, k)
     gam = gamma_rate(p)
-    d = family.dim
-    # partial sums P_m = sum_{i<m} phi_delta(|A_i|), P_1 = 0
-    partials = [np.zeros((d, d), dtype=np.complex128)]
-    for m in range(1, N):
-        A = block_entries(family, m)[0]
-        partials.append(partials[-1] +
-                        psd_matfunc(abs_matrix(A), lambda x: phi_delta(x, p.delta)))
+    partials = _phi_partial_sums(trunc.offdiag_blocks, family.dim, p.delta)
     measured = np.empty(N)
     for j in range(1, N + 1):
         lo, hi = sorted((j, k))

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dense_linalg import spectral_norm, _herm_eigvals_small
+from .dense_linalg import (block_scale, spectral_norm, tridiag_apply,
+                           _herm_eigvals_small)
 
 __all__ = [
     "OperatorFamily",
@@ -85,12 +86,16 @@ def block_entries(family: OperatorFamily, n: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class Truncation:
-    """N-block principal section of the operator; immutable after assembly."""
+    """N-block principal section of the operator; immutable after assembly.
+
+    diag_blocks holds B_1..B_N as an (N, d, d) array and offdiag_blocks
+    A_1..A_{N-1} as an (N-1, d, d) array, both complex128 and read-only.
+    """
 
     family: OperatorFamily
     nblocks: int
-    diag_blocks: tuple
-    offdiag_blocks: tuple
+    diag_blocks: np.ndarray
+    offdiag_blocks: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -114,10 +119,7 @@ class Truncation:
 
     def scale(self) -> float:
         """Magnitude scale used for relative tolerances."""
-        s = max(float(np.abs(B).max()) for B in self.diag_blocks)
-        if self.offdiag_blocks:
-            s = max(s, max(float(np.abs(A).max()) for A in self.offdiag_blocks))
-        return max(s, 1e-300)
+        return block_scale(self.diag_blocks, self.offdiag_blocks)
 
     def block(self, x: np.ndarray, j: int) -> np.ndarray:
         """j-th block (1-based) of a stacked vector or block column."""
@@ -129,16 +131,17 @@ def assemble_truncation(family: OperatorFamily, N: int) -> Truncation:
     """Finite section with B_1..B_N on the diagonal and A_1..A_{N-1} above."""
     if N < 1:
         raise ValueError(f"truncation size must be >= 1, got {N}")
-    diags = []
-    offs = []
+    d = family.dim
+    diags = np.empty((N, d, d), dtype=np.complex128)
+    offs = np.empty((N - 1, d, d), dtype=np.complex128)
     for n in range(1, N + 1):
         A, B = block_entries(family, n)
-        B.setflags(write=False)
-        diags.append(B)
+        diags[n - 1] = B
         if n < N:
-            A.setflags(write=False)
-            offs.append(A)
-    return Truncation(family, N, tuple(diags), tuple(offs))
+            offs[n - 1] = A
+    diags.setflags(write=False)
+    offs.setflags(write=False)
+    return Truncation(family, N, diags, offs)
 
 
 def apply_upsilon(family: OperatorFamily, u) -> np.ndarray:
@@ -146,7 +149,8 @@ def apply_upsilon(family: OperatorFamily, u) -> np.ndarray:
 
     u is an (M, d) array (or list of M length-d vectors), M >= 2, read as
     zero-padded beyond M.  Returns the (M, d) array with rows
-    B_1 u_1 + A_1 u_2 and A_{k-1}^* u_{k-1} + B_k u_k + A_k u_{k+1}.
+    B_1 u_1 + A_1 u_2 and A_{k-1}^* u_{k-1} + B_k u_k + A_k u_{k+1}: the
+    M-block truncation applied to u.
     """
     U = np.asarray(u, dtype=np.complex128)
     if U.ndim != 2 or U.shape[1] != family.dim:
@@ -155,17 +159,7 @@ def apply_upsilon(family: OperatorFamily, u) -> np.ndarray:
     M = U.shape[0]
     if M < 2:
         raise ValueError("need at least two block components")
-    out = np.zeros_like(U)
-    A_prev = None
-    for k in range(1, M + 1):
-        A, B = block_entries(family, k)
-        out[k - 1] = B @ U[k - 1]
-        if k >= 2:
-            out[k - 1] += A_prev.conj().T @ U[k - 2]
-        if k < M:
-            out[k - 1] += A @ U[k]
-        A_prev = A
-    return out
+    return tridiag_apply(assemble_truncation(family, M), U.ravel()).reshape(M, family.dim)
 
 
 def carleman_sum(family: OperatorFamily, N: int) -> float:
@@ -268,10 +262,14 @@ def table_family(source) -> OperatorFamily:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family table: missing {exc}") from exc
     table: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for rec in raw_blocks:
-        n = int(rec["n"])
-        A = np.array([_parse_entry(v) for v in rec["A"]], dtype=np.complex128)
-        B = np.array([_parse_entry(v) for v in rec["B"]], dtype=np.complex128)
+    for i, rec in enumerate(raw_blocks, start=1):
+        try:
+            n, raw_A, raw_B = int(rec["n"]), rec["A"], rec["B"]
+        except KeyError as exc:
+            raise ValueError(
+                f"malformed family table: block record {i} missing {exc}") from exc
+        A = np.array([_parse_entry(v) for v in raw_A], dtype=np.complex128)
+        B = np.array([_parse_entry(v) for v in raw_B], dtype=np.complex128)
         if A.size != d * d or B.size != d * d:
             raise ValueError(f"table block n={n}: expected {d * d} entries")
         A = A.reshape(d, d)

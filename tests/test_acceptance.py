@@ -13,12 +13,12 @@ import pytest
 import blockjacobi as bj
 from blockjacobi import (BoundParams, StParams, assemble_truncation,
                          diagonal_family, eigenpairs_below, gamma_rate,
-                         green_column, min_eigenvalue, mu_asymptotic,
-                         perturbed_truncation, phase_class, psi, psi_inv,
-                         scalar_envelope, scalar_free_family, spectral_norm,
-                         st_family, transfer_eigenvalues, transfer_matrix,
-                         verify_commuting_decay, verify_eigenvector_decay,
-                         verify_green_decay)
+                         green_column, mu_asymptotic, perturbed_truncation,
+                         phase_class, psi, psi_inv, scalar_envelope,
+                         scalar_free_family, spectral_norm, st_family,
+                         transfer_eigenvalues, transfer_matrix,
+                         tridiag_kth_eigenvalue, verify_commuting_decay,
+                         verify_eigenvector_decay, verify_green_decay)
 from blockjacobi.st_family import PhaseClass
 
 from conftest import random_family, shift_first_block
@@ -215,10 +215,11 @@ def test_c09_constant_family_lower_bound():
         bound = bj.jc_lower_bound(s, t)
         fam = bj.constant_st_family(s, t)
         for N in (50, 100, 200, 400):
-            gap = bound - min_eigenvalue(assemble_truncation(fam, N))
+            gap = bound - tridiag_kth_eigenvalue(assemble_truncation(fam, N), 1)
             worst = max(worst, gap)
             ok = ok and gap <= 1e-12
-    conv = min_eigenvalue(assemble_truncation(bj.constant_st_family(3.0, 3.0), 400))
+    conv = tridiag_kth_eigenvalue(
+        assemble_truncation(bj.constant_st_family(3.0, 3.0), 400), 1)
     conv_ok = abs(conv - 1.0) <= 1e-2
     report("constant-family spectral lower bound", ok and conv_ok,
            f"worst bound violation {worst:.2e}, min eig(N=400, s=t=3) {conv:.6f}")
@@ -254,7 +255,7 @@ def test_c11_perturbation_moves_eigenvalue(st06_deep):
     for tau in (1e-3, 1e-2, 1e-1):
         pert = perturbed_truncation(tr, tau)
         below = [pr.value for pr in eigenpairs_below(pert, 0.0)]
-        first_above = bj.kth_eigenvalue(pert, len(below) + 1)
+        first_above = bj.tridiag_kth_eigenvalue(pert, len(below) + 1)
         dists.append(min(abs(v - lam0) for v in below + [first_above]))
     ok = dists[0] > 0 and dists[0] <= dists[1] <= dists[2]
     report("first-block perturbation moves the eigenvalue", ok,
@@ -266,8 +267,8 @@ def test_c12_phase_classifier():
                 and phase_class(3.0, 3.0) is PhaseClass.ESS_EMPTY
                 and phase_class(1.0, 1.0) is PhaseClass.ESS_FULL_LINE)
     fam = st_family(StParams(1.0, 1.0, 0.6))
-    m200 = min_eigenvalue(assemble_truncation(fam, 200))
-    m1500 = min_eigenvalue(assemble_truncation(fam, 1500))
+    m200 = tridiag_kth_eigenvalue(assemble_truncation(fam, 200), 1)
+    m1500 = tridiag_kth_eigenvalue(assemble_truncation(fam, 1500), 1)
     drop_ok = (m200 - m1500) >= 1.0
     report("spectral phase classifier", class_ok and drop_ok,
            f"min eig {m200:.2f} -> {m1500:.2f} between N=200 and N=1500")

@@ -115,8 +115,7 @@ class TestGreen:
         assert payload[0]["lambda"] == [-3.0, 0.0]
         assert len(payload[0]["norms"]) == 10
 
-    def test_grid_merges_in_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("BJB_THREADS", "2")
+    def test_grid_merges_in_order(self, capsys):
         code, out, _ = run_cli(
             ["green", "--family", "scalar-free", "--lambda=-5:-3:1", "--N=5"],
             capsys)
@@ -125,14 +124,6 @@ class TestGreen:
         assert lines[0] == "lambda,index,norm"
         lams = [l.split(",")[0] for l in lines[1:]]
         assert lams == ["-5"] * 5 + ["-4"] * 5 + ["-3"] * 5
-
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BJB_THREADS", "zero")
-        code, _, err = run_cli(
-            ["green", "--family", "scalar-free", "--lambda=-5:-3:1", "--N=5"],
-            capsys)
-        assert code == 1
-        assert "BJB_THREADS" in err
 
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(
@@ -302,6 +293,22 @@ class TestVerify:
                 if not l.startswith("#")]
         assert len(rows) == 301  # header + one row per block index
 
+    def test_grid_rows_equal_single_runs(self, tmp_path, capsys):
+        base = ["verify", "--mode", "green", "--family", "st:s=2,t=2,alpha=0.6",
+                "--b=0", "--N=40"]
+        code, _, _ = run_cli(base + ["--lambda=-2:-1:1", "--out",
+                                     str(tmp_path / "grid")], capsys)
+        assert code == 0
+        grid_rows = (tmp_path / "grid.csv").read_text().splitlines()[3:]
+        want = []
+        for lam in ("-2", "-1"):
+            code, _, _ = run_cli(base + [f"--lambda={lam}", "--out",
+                                         str(tmp_path / f"single{lam}")], capsys)
+            assert code == 0
+            rows = (tmp_path / f"single{lam}.csv").read_text().splitlines()[3:]
+            want += [f"{lam},{row}" for row in rows]
+        assert grid_rows == want
+
     def test_grid_verify_merged_csv(self, tmp_path, capsys):
         prefix = tmp_path / "grid"
         code, _, _ = run_cli(
@@ -312,6 +319,25 @@ class TestVerify:
         assert lines[2] == "lambda,index,measured,envelope,ratio,verdict"
         payload = json.loads((tmp_path / "grid.json").read_text())
         assert isinstance(payload, list) and len(payload) == 2
+
+
+class TestMalformedTable:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--lambda=-1", "--b=0"],
+        ["green", "--lambda=-1", "--N=1"],
+    ], ids=["bounds", "green"])
+    @pytest.mark.parametrize("key", ["n", "A", "B"])
+    def test_missing_key_is_one_line_input_error(self, argv, key, tmp_path, capsys):
+        rec = {"n": 1, "A": [1], "B": [0]}
+        del rec[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 1, "blocks": [rec]}))
+        code, _, err = run_cli(argv + ["--family", str(path)], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"missing '{key}'" in lines[0]
 
 
 class TestSubprocessEntry:

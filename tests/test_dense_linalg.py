@@ -312,7 +312,7 @@ class TestInertiaProperties:
         Bs, As = complex_block_problem(*problem)
         w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
         n = w.size
-        lo, hi = dl._gershgorin_bounds(*dl._stack_blocks((Bs, As)))
+        lo, hi = dl._gershgorin_bounds(*dl._unpack_blocks((Bs, As)))
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
         j = min(3, n)
         # The count carries rounding error of its own, amplified by nearly
@@ -351,7 +351,7 @@ class TestInertiaProperties:
         Bs, As = complex_block_problem(*problem)
         n = len(Bs) * Bs[0].shape[0]
         k = 1 + int(frac * (n - 1))
-        lo, hi = dl._gershgorin_bounds(*dl._stack_blocks((Bs, As)))
+        lo, hi = dl._gershgorin_bounds(*dl._unpack_blocks((Bs, As)))
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
         lo, hi = lo - tol, hi + tol
         while hi - lo > tol:

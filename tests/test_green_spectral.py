@@ -6,11 +6,11 @@ import pytest
 from blockjacobi import (BoundParams, EmptySpectrumError, OperatorFamily,
                          SingularShiftError, assemble_truncation,
                          block_entries, diagonal_family, eigenpairs_below,
-                         gamma_rate, green_column, min_eigenvalue,
-                         perturbed_truncation, scalar_free_family,
-                         spectral_norm, verify_commuting_decay,
-                         verify_eigenvector_decay, verify_green_decay)
-from blockjacobi.green_spectral import count_below, kth_eigenvalue
+                         gamma_rate, green_column, perturbed_truncation,
+                         scalar_free_family, spectral_norm,
+                         tridiag_count_below, tridiag_kth_eigenvalue,
+                         verify_commuting_decay, verify_eigenvector_decay,
+                         verify_green_decay)
 
 from conftest import random_family, shift_first_block
 
@@ -110,7 +110,7 @@ class TestGreenColumn:
 class TestEigenpairsBelow:
     def test_scalar_free_has_none_below_edge(self):
         tr = assemble_truncation(scalar_free_family(), 200)
-        assert min_eigenvalue(tr) >= -2.0 - 1e-6
+        assert tridiag_kth_eigenvalue(tr, 1) >= -2.0 - 1e-6
         assert eigenpairs_below(tr, -2.0) == []
 
     def test_nearly_decoupled_diagonal_wells(self):
@@ -355,9 +355,9 @@ class TestSturmHelpers:
         tr = assemble_truncation(st_critical, 30)
         w = np.linalg.eigvalsh(tr.dense())
         for x in (0.0, 1.0, 5.0):
-            assert count_below(tr, x) == int((w < x).sum())
+            assert tridiag_count_below(tr, x) == int((w < x).sum())
 
     def test_kth_eigenvalue_matches_dense(self, st_critical):
         tr = assemble_truncation(st_critical, 30)
         w = np.linalg.eigvalsh(tr.dense())
-        assert kth_eigenvalue(tr, 4) == pytest.approx(w[3], abs=1e-10)
+        assert tridiag_kth_eigenvalue(tr, 4) == pytest.approx(w[3], abs=1e-10)

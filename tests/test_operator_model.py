@@ -6,8 +6,9 @@ import pytest
 from blockjacobi import (OperatorFamily, StParams, apply_upsilon,
                          assemble_truncation, block_entries, builtin_family,
                          carleman_sum, diagonal_family, eigenpairs_below,
-                         min_eigenvalue, parse_family_spec, scalar_free_family,
-                         st_family, table_family)
+                         parse_family_spec, scalar_free_family, st_family,
+                         table_family, tridiag_kth_eigenvalue)
+from blockjacobi.dense_linalg import tridiag_apply
 from blockjacobi.operator_model import offdiag_kernel_flags
 
 from conftest import random_family, shift_first_block
@@ -77,8 +78,21 @@ class TestAssembleTruncation:
     def test_dense_dim(self):
         assert assemble_truncation(st_family(StParams(2, 2, 0.5)), 7).dense_dim == 14
 
+    @pytest.mark.parametrize("seed,d,N", [(1, 1, 1), (2, 2, 1), (3, 2, 9), (4, 3, 6)])
+    def test_stacked_read_only_arrays(self, seed, d, N):
+        tr = assemble_truncation(random_family(seed, d, complex_entries=True), N)
+        for blocks, shape in ((tr.diag_blocks, (N, d, d)),
+                              (tr.offdiag_blocks, (N - 1, d, d))):
+            assert isinstance(blocks, np.ndarray)
+            assert blocks.shape == shape
+            assert blocks.dtype == np.complex128
+            assert not blocks.flags.writeable
+        want = max([np.abs(B).max() for B in tr.diag_blocks] +
+                   [np.abs(A).max() for A in tr.offdiag_blocks])
+        assert tr.scale() == want
+
     def test_interlacing_min_eigenvalue(self, st_critical):
-        mins = [min_eigenvalue(assemble_truncation(st_critical, N))
+        mins = [tridiag_kth_eigenvalue(assemble_truncation(st_critical, N), 1)
                 for N in (10, 20, 40, 80)]
         assert all(mins[i + 1] <= mins[i] + 1e-12 for i in range(3))
 
@@ -113,6 +127,14 @@ class TestApplyUpsilon:
         out = apply_upsilon(st_deep, u)
         resid = out - pair.value * u
         assert np.abs(resid).max() < 1e-8
+
+    @pytest.mark.parametrize("seed,d,M", [(5, 1, 2), (6, 2, 8), (7, 3, 5)])
+    def test_bitwise_equal_to_truncation_apply(self, seed, d, M):
+        fam = random_family(seed, d, complex_entries=True)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((M, d)) + 1j * rng.standard_normal((M, d))
+        want = tridiag_apply(assemble_truncation(fam, M), u.ravel())
+        assert np.array_equal(apply_upsilon(fam, u), want.reshape(M, d))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="expected"):
@@ -208,6 +230,14 @@ class TestFamilyConstruction:
             {"n": 1, "A": [1], "B": [0]}]})
         with pytest.raises(ValueError, match="no block n=2"):
             assemble_truncation(fam, 2)
+
+    @pytest.mark.parametrize("key", ["n", "A", "B"])
+    def test_table_family_record_missing_key(self, key):
+        rec = {"n": 1, "A": [1], "B": [0]}
+        del rec[key]
+        with pytest.raises(ValueError,
+                           match=f"malformed family table: block record 1 missing '{key}'"):
+            table_family({"dim": 1, "blocks": [rec]})
 
     def test_table_family_bad_shape(self):
         with pytest.raises(ValueError, match="entries"):

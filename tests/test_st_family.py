@@ -5,9 +5,9 @@ import pytest
 
 from blockjacobi import (PhaseClass, StParams, assemble_truncation,
                          block_entries, constant_st_family, decaying_root,
-                         jc_lower_bound, levinson_profile, min_eigenvalue,
-                         mu_asymptotic, phase_class, st_family,
-                         transfer_eigenvalues, transfer_matrix)
+                         jc_lower_bound, levinson_profile, mu_asymptotic,
+                         phase_class, st_family, transfer_eigenvalues,
+                         transfer_matrix, tridiag_kth_eigenvalue)
 from blockjacobi.st_family import transfer_char_coeffs
 
 P06 = StParams(2.0, 2.0, 0.6)
@@ -210,11 +210,11 @@ class TestJcLowerBound:
     @pytest.mark.parametrize("s,t", [(2.0, 2.0), (3.0, 3.0), (2.0, 8.0)])
     def test_truncation_respects_bound(self, s, t):
         tr = assemble_truncation(constant_st_family(s, t), 150)
-        assert min_eigenvalue(tr) >= jc_lower_bound(s, t) - 1e-12
+        assert tridiag_kth_eigenvalue(tr, 1) >= jc_lower_bound(s, t) - 1e-12
 
     def test_equal_st_min_converges_to_s_minus_2(self):
         tr = assemble_truncation(constant_st_family(3.0, 3.0), 150)
-        assert min_eigenvalue(tr) == pytest.approx(1.0, abs=0.1)
+        assert tridiag_kth_eigenvalue(tr, 1) == pytest.approx(1.0, abs=0.1)
 
 
 class TestPhaseClass:
@@ -234,4 +234,4 @@ class TestPhaseClass:
     @pytest.mark.parametrize("N", [100, 200, 400])
     def test_critical_truncations_stay_semibounded(self, st_critical, N):
         tr = assemble_truncation(st_critical, N)
-        assert min_eigenvalue(tr) >= -0.5
+        assert tridiag_kth_eigenvalue(tr, 1) >= -0.5
