@@ -170,6 +170,10 @@ def scalar_envelope(family: OperatorFamily, p: BoundParams, N: int) -> DecayEnve
     return DecayEnvelope(gamma_rate(p), S, "scalar", p)
 
 
+# relative commutator norm above which two entries count as non-commuting
+COMMUTATION_TOL = 1e-10
+
+
 class CommutationError(ValueError):
     """The family is not pairwise commuting; names the offending pair."""
 
@@ -181,34 +185,33 @@ class CommutationError(ValueError):
             f"commute: relative commutator norm {norm:.3e} > {tol:.0e}")
 
 
-def check_pairwise_commutation(family: OperatorFamily, N: int,
-                               tol: float = 1e-10) -> None:
+def check_pairwise_commutation(family: OperatorFamily, N: int) -> None:
     """Verify that {A_m, B_m, A_m^*} over m = 1..N commutes pairwise.
 
-    Commutator Frobenius norms are compared against tol times the product
-    of the factor norms; the first violation (lexicographic) is reported.
+    Commutator Frobenius norms are compared against COMMUTATION_TOL times
+    the product of the factor norms; the first violation (lexicographic) is
+    reported.  The violation set is symmetric with an empty diagonal, so
+    comparing each unordered pair once finds the same first violation.
     """
-    names = []
     mats = []
     for n in range(1, N + 1):
         A, B = block_entries(family, n)
         mats.extend([A, B, A.conj().T])
-        names.extend([("A", n), ("B", n), ("A*", n)])
+    names = [(s, n) for n in range(1, N + 1) for s in ("A", "B", "A*")]
     M = np.stack(mats)
     fro = np.sqrt((np.abs(M) ** 2).sum(axis=(1, 2)))
     floor = max(fro.max() ** 2, 1e-300)
     chunk = 128
     for a0 in range(0, M.shape[0], chunk):
         a1 = min(a0 + chunk, M.shape[0])
-        XY = M[a0:a1, None] @ M[None, :, :, :]
-        YX = M[None, :, :, :] @ M[a0:a1, None]
-        C = np.sqrt((np.abs(XY - YX) ** 2).sum(axis=(2, 3)))
-        den = np.maximum(np.outer(fro[a0:a1], fro), 1e-12 * floor)
-        bad = np.argwhere(C > tol * den)
+        X, Y = M[a0:a1, None], M[None, a0:]
+        C = np.sqrt((np.abs(X @ Y - Y @ X) ** 2).sum(axis=(2, 3)))
+        den = np.maximum(np.outer(fro[a0:a1], fro[a0:]), 1e-12 * floor)
+        bad = np.argwhere(C > COMMUTATION_TOL * den)
         if bad.size:
             i, j = bad[0]
-            raise CommutationError(names[a0 + i], names[j],
-                                   C[i, j] / den[i, j], tol)
+            raise CommutationError(names[a0 + i], names[a0 + j],
+                                   C[i, j] / den[i, j], COMMUTATION_TOL)
 
 
 def _phi_partial_sums(offdiag_blocks, d: int, delta: float) -> list:

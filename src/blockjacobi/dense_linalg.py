@@ -17,6 +17,7 @@ so the library itself avoids np.linalg solvers and eigensolvers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ __all__ = [
     "poly_roots",
 ]
 
+# Jacobi rotations stop below JACOBI_OFF_TOL * ||H||_F of off-diagonal mass
+# or fail after JACOBI_MAX_SWEEPS sweeps; a checked factorization refuses a
+# pivot condition estimate above COND_LIMIT; poly_roots runs ROOT_MAX_ITER
+JACOBI_OFF_TOL, JACOBI_MAX_SWEEPS = 1e-14, 100
+COND_LIMIT = 1e12
+ROOT_MAX_ITER = 300
+
 
 class SingularShiftError(ArithmeticError):
     """Shift is numerically an eigenvalue: an elimination pivot block is
@@ -52,7 +60,7 @@ class SingularShiftError(ArithmeticError):
         self.cond = cond
         super().__init__(
             f"singular shift: pivot block {block_index} has condition estimate "
-            f"{cond:.3e} (limit 1e12)"
+            f"{cond:.3e} (limit {COND_LIMIT:.0e})"
         )
 
 
@@ -96,11 +104,11 @@ def _require_square(M) -> np.ndarray:
     return A
 
 
-def hermitian_eig(H, off_tol: float = 1e-14, max_sweeps: int = 100) -> EigDecomposition:
+def hermitian_eig(H) -> EigDecomposition:
     """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Sweeps run in fixed (p, q) lexicographic order until the off-diagonal
-    Frobenius mass drops below off_tol * ||H||_F, so results are
+    Frobenius mass drops below JACOBI_OFF_TOL * ||H||_F, so results are
     deterministic across runs.  Rejects non-Hermitian input (1e-10 relative).
     """
     A = _require_square(H)
@@ -116,10 +124,10 @@ def hermitian_eig(H, off_tol: float = 1e-14, max_sweeps: int = 100) -> EigDecomp
 
     W = (A + A.conj().T) / (2.0 * amax)
     fro = vector_norm(W.ravel())
-    target = off_tol * fro
+    target = JACOBI_OFF_TOL * fro
     skip = target / (4.0 * n)
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = vector_norm((W - np.diag(np.diag(W))).ravel())
         if off <= target:
             break
@@ -200,6 +208,26 @@ def spectral_norm(A) -> float:
     return m * float(np.sqrt(max(dec.values[-1], 0.0)))
 
 
+def _sigma_min(A) -> float:
+    """Smallest singular value, to about 1e-16 * ||A||; sqrt(lambda_min(A* A))
+    keeps half the digits (a rank-one block reads about 1e-9 * ||A||).  After
+    max-abs scaling: |det A| / ||A||_2 for d = 2, else the smallest |eigenvalue|
+    of the Hermitian [[0, A], [A*, 0]], whose eigenvalues are +-sigma_i."""
+    A = _require_square(A)
+    m = float(np.abs(A).max()) if A.size else 0.0
+    if m == 0.0 or A.shape[0] == 1:
+        return m
+    B = A / m
+    if B.shape[0] == 2:
+        a, b, c, e = B.ravel().tolist()
+        h = 0.5 * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(e) ** 2)
+        det = abs(a * e - b * c)  # sigma_max^2 + sigma_min^2 = 2h, product det
+        return m * det / math.sqrt(h + math.sqrt(max((h - det) * (h + det), 0.0)))
+    Z = np.zeros_like(B)
+    H = np.block([[Z, B], [B.conj().T, Z]])
+    return m * float(np.abs(hermitian_eig(H).values).min())
+
+
 def psd_matfunc(H, f) -> np.ndarray:
     """Spectral function f(H) of a Hermitian PSD matrix.
 
@@ -259,10 +287,6 @@ def _lu_solve_small(fac, B):
             X[k, :] -= LU[k, k + 1:] @ X[k + 1:, :]
         X[k, :] /= LU[k, k]
     return X
-
-
-def _inv_small(fac, d):
-    return _lu_solve_small(fac, np.eye(d, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +358,11 @@ def block_scale(diag_blocks, offdiag_blocks) -> float:
 
 
 def block_tridiag_factor(trunc, shift,
-                         cond_limit: float = 1e12,
                          check_conditioning: bool = True) -> BlockTridiagLU:
     """Factor (T - shift*I) by block forward elimination.
 
     With check_conditioning, a pivot block whose condition estimate exceeds
-    cond_limit raises SingularShiftError (structure-preserving: no repair is
+    COND_LIMIT raises SingularShiftError (structure-preserving: no repair is
     attempted).  Without it, singular pivots are nudged by a tiny multiple
     of the problem scale so that shifts arbitrarily close to eigenvalues
     remain usable (inverse iteration relies on this).
@@ -362,13 +385,13 @@ def block_tridiag_factor(trunc, shift,
             fac = _lu_factor_small(D)
             if fac is None:
                 raise SingularShiftError(k + 1, np.inf)
-        Dinv = _inv_small(fac, d)
+        Dinv = _lu_solve_small(fac, I)
         # singular shifts surface as pivots tiny against the problem scale,
         # so the estimate is scale-relative (a bare sigma_max/sigma_min is
         # blind to them for well-conditioned small blocks, e.g. any d = 1)
         cond = max(spectral_norm(D), scale) * spectral_norm(Dinv)
         conds[k] = cond
-        if check_conditioning and cond > cond_limit:
+        if check_conditioning and cond > COND_LIMIT:
             raise SingularShiftError(k + 1, cond)
         pivots.append(D)
         factors.append(fac)
@@ -520,9 +543,8 @@ def _count_d2(B, A, x, bump):
 def _herm_eigvals_batched(Dr, Di) -> np.ndarray:
     """Eigenvalues (unsorted, shape (S, n)) of S Hermitian matrices given by
     real and imaginary parts, by the cyclic Jacobi rotations of hermitian_eig
-    with its default tolerances.  Each member stops rotating once its own
+    with its tolerances.  Each member stops rotating once its own
     off-diagonal mass is small."""
-    off_tol, max_sweeps = 1e-14, 100
     S, n, _ = Dr.shape
     amax = np.sqrt((Dr * Dr + Di * Di).max(axis=(1, 2)))
     scale = np.where(amax > 0.0, amax, 1.0)[:, None, None]
@@ -537,9 +559,9 @@ def _herm_eigvals_batched(Dr, Di) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             fro2 = fro2 + sq(i, j)
-    target2 = off_tol * off_tol * fro2
-    skip = off_tol * np.sqrt(fro2) / (4.0 * n)
-    for _ in range(max_sweeps):
+    target2 = JACOBI_OFF_TOL * JACOBI_OFF_TOL * fro2
+    skip = JACOBI_OFF_TOL * np.sqrt(fro2) / (4.0 * n)
+    for _ in range(JACOBI_MAX_SWEEPS):
         off2 = np.zeros(S)
         for p, q in pairs:
             off2 = off2 + 2.0 * sq(p, q)
@@ -808,7 +830,7 @@ def _horner(coeffs_desc, z):
     return p
 
 
-def poly_roots(coeffs, max_iter: int = 300) -> np.ndarray:
+def poly_roots(coeffs) -> np.ndarray:
     """All complex roots of p(z) = sum_i coeffs[i] * z^i, degree <= 8.
 
     Aberth-Ehrlich iteration started on a circle of radius
@@ -835,7 +857,7 @@ def poly_roots(coeffs, max_iter: int = 300) -> np.ndarray:
     dd = (c[1:] * np.arange(1, deg + 1))[::-1]
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         p = _horner(cd, z)
         dp = _horner(dd, z)
         dp = np.where(dp == 0, 1e-300, dp)

@@ -25,10 +25,10 @@ import numpy as np
 
 from .bounds import (BoundParams, check_pairwise_commutation, gamma_rate,
                      qualified_constant, scalar_envelope, _phi_partial_sums)
-from .dense_linalg import (abs_matrix, block_tridiag_factor, hermitian_eig,
-                           psd_matfunc, spectral_norm, tridiag_apply,
-                           tridiag_eigs_below, tridiag_inverse_iteration,
-                           tridiag_kth_eigenvalue, vector_norm)
+from .dense_linalg import (block_tridiag_factor, psd_matfunc, spectral_norm,
+                           tridiag_apply, tridiag_eigs_below,
+                           tridiag_inverse_iteration, tridiag_kth_eigenvalue,
+                           vector_norm, _sigma_min)
 from .operator_model import (OperatorFamily, Truncation, assemble_truncation,
                              offdiag_kernel_flags)
 
@@ -47,8 +47,11 @@ __all__ = [
 ]
 
 CSV_HEADER = "# blockjacobi-bounds v1"
+REPORT_COLUMNS = "index,measured,envelope,ratio,verdict"
 BOUNDARY_SUSPECT_TOL = 1e-6
 VERDICT_SLACK = 1e-9
+# projection cutoff M of the closed-form constant qualified_C
+QUALIFIED_M = 1
 
 
 class EmptySpectrumError(ValueError):
@@ -158,10 +161,6 @@ def eigenpairs_below(trunc: Truncation, b: float,
 # Rank-d perturbation on the first block
 # ---------------------------------------------------------------------------
 
-def _min_singular_value(L: np.ndarray) -> float:
-    return float(hermitian_eig(abs_matrix(L)).values[0])
-
-
 def perturbed_family(family: OperatorFamily, tau: float,
                      L: np.ndarray | None = None) -> OperatorFamily:
     """Family of J + tau * P_1 L* L P_1: only B_1 changes, to B_1 + tau L*L.
@@ -180,7 +179,7 @@ def perturbed_family(family: OperatorFamily, tau: float,
     nrm = spectral_norm(L)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"||L|| = {nrm!r}, must equal 1 to 1e-10")
-    if _min_singular_value(L) <= 1e-12:
+    if _sigma_min(L) <= 1e-12:
         raise ValueError("L has (numerically) nontrivial kernel")
     bump = tau * (L.conj().T @ L)
     base_diag = family.diag
@@ -221,10 +220,11 @@ def _fmt_complex(z: complex) -> str:
 class DecayReport:
     """Measured norms against the fitted envelope, verdicts per index.
 
-    verdict[j] is "pass" iff measured[j] <= fitted_C * envelope[j] * (1+1e-9),
-    "excluded" beyond the boundary-exclusion limit.  fitted_C is the max of
-    measured/envelope over the calibration range.  ratio[j] is
-    measured / (fitted_C * envelope), so passing rows have ratio <= 1+1e-9.
+    verdict[j] is "excluded" beyond the boundary-exclusion limit, else "pass"
+    iff measured[j] <= fitted_C * envelope[j] * (1+1e-9), else "fail".
+    fitted_C is the max of measured/envelope over the calibration range.
+    ratio[j] is measured / (fitted_C * envelope), so passing rows have
+    ratio <= 1+1e-9.
     """
 
     mode: str
@@ -252,16 +252,12 @@ class DecayReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(v == "pass" for v, e in zip(self.verdicts, self.eligible) if e)
+        return "fail" not in self.verdicts
 
     @property
     def pass_fraction(self) -> float:
         n_elig = int(self.eligible.sum())
-        if n_elig == 0:
-            return 1.0
-        n_pass = sum(1 for v, e in zip(self.verdicts, self.eligible)
-                     if e and v == "pass")
-        return n_pass / n_elig
+        return self.verdicts.count("pass") / n_elig if n_elig else 1.0
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -272,19 +268,21 @@ class DecayReport:
             f"N={self.nblocks} source={self.source} gamma={_fmt(self.gamma)} "
             f"fitted_C={_fmt(self.fitted_C)} "
             f"calibration={self.calibration[0]}:{self.calibration[1]}")
-        lines.append("index,measured,envelope,ratio,verdict")
-        for i in range(self.indices.size):
-            lines.append(
-                f"{self.indices[i]},{_fmt(self.measured[i])},"
-                f"{_fmt(self.envelope[i])},{_fmt(self.ratio[i])},{self.verdicts[i]}")
+        lines.append(REPORT_COLUMNS)
+        lines.extend(self.csv_rows())
         return "\n".join(lines) + "\n"
+
+    def csv_rows(self) -> list[str]:
+        """One REPORT_COLUMNS row per index."""
+        return [f"{self.indices[i]},{_fmt(self.measured[i])},"
+                f"{_fmt(self.envelope[i])},{_fmt(self.ratio[i])},{self.verdicts[i]}"
+                for i in range(self.indices.size)]
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.csv_text())
 
     def summary(self) -> dict:
-        n_elig = int(self.eligible.sum())
         out = {
             "schema": "blockjacobi-bounds v1",
             "mode": self.mode,
@@ -301,7 +299,7 @@ class DecayReport:
             "fitted_C": self.fitted_C,
             "pass_fraction": self.pass_fraction,
             "all_pass": self.all_pass,
-            "n_eligible": n_elig,
+            "n_eligible": int(self.eligible.sum()),
         }
         out.update(self.meta)
         return out
@@ -312,10 +310,6 @@ class DecayReport:
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.json_text())
-
-
-def _eligible_limit(N: int) -> int:
-    return N - N // 10
 
 
 def _normalize_calibration(calibration, default_lo: int, N: int, limit: int):
@@ -333,20 +327,15 @@ def _normalize_calibration(calibration, default_lo: int, N: int, limit: int):
 def _build_report(mode: str, family: OperatorFamily, p: BoundParams, N: int,
                   source: int, measured: np.ndarray, log_envelope: np.ndarray,
                   calibration, default_calib_lo: int, meta: dict) -> DecayReport:
-    limit = _eligible_limit(N)
+    limit = N - N // 10
     lo, hi = _normalize_calibration(calibration, default_calib_lo, N, limit)
     with np.errstate(divide="ignore"):
         log_measured = np.log(measured)
     log_C = float(np.max(log_measured[lo - 1:hi] - log_envelope[lo - 1:hi]))
-    slack = math.log1p(VERDICT_SLACK)
-    verdicts = []
-    for j in range(1, N + 1):
-        if j > limit:
-            verdicts.append("excluded")
-        elif log_measured[j - 1] <= log_C + log_envelope[j - 1] + slack:
-            verdicts.append("pass")
-        else:
-            verdicts.append("fail")
+    indices = np.arange(1, N + 1)
+    passing = log_measured <= log_C + log_envelope + math.log1p(VERDICT_SLACK)
+    verdicts = np.where(indices > limit, "excluded",
+                        np.where(passing, "pass", "fail"))
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = np.exp(log_envelope)
         ratio = np.exp(log_measured - log_envelope - log_C)
@@ -355,45 +344,61 @@ def _build_report(mode: str, family: OperatorFamily, p: BoundParams, N: int,
     return DecayReport(
         mode=mode, family_label=family.label, lam=complex(p.lam), b=p.b,
         delta=p.delta, eps=p.eps, gamma=gamma_rate(p), nblocks=N, source=source,
-        indices=np.arange(1, N + 1), measured=measured, envelope=envelope,
-        ratio=ratio, verdicts=tuple(verdicts), fitted_C=fitted_C,
+        indices=indices, measured=measured, envelope=envelope,
+        ratio=ratio, verdicts=tuple(verdicts.tolist()), fitted_C=fitted_C,
         calibration=(lo, hi), eligible_limit=limit, meta=meta)
 
 
-def _qualified_meta(trunc: Truncation, p: BoundParams, qualified_M: int) -> dict:
-    """Closed-form constant evaluated on the truncation spectrum: distance
-    from lambda to the spectrum and the depth of the point spectrum below b."""
-    below = tridiag_eigs_below(trunc, p.b)
+def _grid(p) -> tuple[list[BoundParams], bool]:
+    """The points of one BoundParams or of a nonempty sequence of them that
+    differ only in lam, and whether a single one was given."""
+    if isinstance(p, BoundParams):
+        return [p], True
+    points = list(p)
+    if not points or any(q.with_lambda(points[0].lam) != points[0] for q in points):
+        raise ValueError("a lambda grid must be nonempty and share b, delta and eps")
+    return points, False
+
+
+def _qualified_metas(trunc: Truncation, points: list[BoundParams]):
+    """Yields the closed-form constant at each point, all from one spectral
+    query: the distance from lambda to the eigenvalues below b and the next
+    one up, and the depth of the point spectrum below b."""
+    b = points[0].b
+    below = tridiag_eigs_below(trunc, b)
     cands = list(below)
     if below.size < trunc.dense_dim:
         cands.append(tridiag_kth_eigenvalue(trunc, below.size + 1))
-    dist_sigma = min(abs(complex(p.lam) - mu) for mu in cands)
-    min_eig_gap = abs(p.b - min(below)) if below.size else 0.0
-    if dist_sigma <= 0:
-        return {"qualified_C": math.inf, "qualified_M": qualified_M}
-    qc = qualified_constant(trunc.family, p, qualified_M, dist_sigma, min_eig_gap)
-    return {"qualified_C": qc, "qualified_M": qualified_M,
-            "dist_sigma": dist_sigma, "min_eig_gap": min_eig_gap}
+    min_eig_gap = abs(b - min(below)) if below.size else 0.0
+    for p in points:
+        dist_sigma = min(abs(complex(p.lam) - mu) for mu in cands)
+        meta = {"qualified_C": math.inf, "qualified_M": QUALIFIED_M}
+        if dist_sigma > 0:
+            meta.update(qualified_C=qualified_constant(
+                trunc.family, p, QUALIFIED_M, dist_sigma, min_eig_gap),
+                dist_sigma=dist_sigma, min_eig_gap=min_eig_gap)
+        yield meta
 
 
-def verify_green_decay(family: OperatorFamily, p: BoundParams, N: int,
-                       k: int = 1, calibration=None,
-                       qualified_M: int = 1) -> DecayReport:
+def verify_green_decay(family: OperatorFamily, p, N: int, k: int = 1,
+                       calibration=None) -> DecayReport | list[DecayReport]:
     """Green-column decay against the scalar-norm envelope.
 
     Measured values are ||G_{j,k}(lambda)||; the envelope between j and k is
     exp(-gamma * |S_j - S_k|).  C is fitted on the calibration range
-    (default [k, k+10]).
+    (default [k, k+10]).  p is one BoundParams (one report) or a sequence of
+    them differing only in lam (their reports, in order), which share one
+    truncation, spectral query and set of sums S_j.
     """
+    points, single = _grid(p)
     trunc = assemble_truncation(family, N)
-    col = green_column(trunc, p.lam, k)
-    measured = col.norms()
-    env = scalar_envelope(family, p, N)
-    log_env = np.array([env.log_bound(j, k) for j in range(1, N + 1)])
-    meta = {"kind": "green-column"}
-    meta.update(_qualified_meta(trunc, p, qualified_M))
-    return _build_report("green", family, p, N, k, measured, log_env,
-                         calibration, k, meta)
+    S = scalar_envelope(family, points[0], N).cumulative
+    reports = [_build_report(
+        "green", family, q, N, k, green_column(trunc, q.lam, k).norms(),
+        -gamma_rate(q) * np.abs(S - S[k - 1]), calibration, k,
+        {"kind": "green-column", **meta})
+        for q, meta in zip(points, _qualified_metas(trunc, points))]
+    return reports[0] if single else reports
 
 
 def _select_pair(pairs: list[Eigenpair], which):
@@ -439,25 +444,27 @@ def verify_eigenvector_decay(family: OperatorFamily, p: BoundParams, N: int,
                          log_env, calibration, 1, meta)
 
 
-def verify_commuting_decay(family: OperatorFamily, p: BoundParams, N: int,
-                           k: int = 1, calibration=None,
-                           qualified_M: int = 1) -> DecayReport:
+def verify_commuting_decay(family: OperatorFamily, p, N: int, k: int = 1,
+                           calibration=None) -> DecayReport | list[DecayReport]:
     """Commuting-refinement check: the weighted norms
     ||exp(gamma * sum_{i=min..max-1} phi_delta(|A_i|)) G_{j,k}|| must stay
-    bounded by a fitted constant (flat envelope)."""
+    bounded by a fitted constant (flat envelope).  p is one BoundParams or
+    a grid, as in verify_green_decay; the commutation check is made once."""
+    points, single = _grid(p)
     check_pairwise_commutation(family, N)
     trunc = assemble_truncation(family, N)
-    col = green_column(trunc, p.lam, k)
-    gam = gamma_rate(p)
-    partials = _phi_partial_sums(trunc.offdiag_blocks, family.dim, p.delta)
-    measured = np.empty(N)
-    for j in range(1, N + 1):
-        lo, hi = sorted((j, k))
-        P = partials[hi - 1] - partials[lo - 1]
-        W = psd_matfunc(P, lambda x: math.exp(gam * x))
-        measured[j - 1] = spectral_norm(W @ col.blocks[j - 1])
-    log_env = np.zeros(N)
-    meta = {"kind": "commuting-weighted"}
-    meta.update(_qualified_meta(trunc, p, qualified_M))
-    return _build_report("commuting", family, p, N, k, measured, log_env,
-                         calibration, k, meta)
+    partials = _phi_partial_sums(trunc.offdiag_blocks, family.dim, points[0].delta)
+    reports = []
+    for q, meta in zip(points, _qualified_metas(trunc, points)):
+        col = green_column(trunc, q.lam, k)
+        gam = gamma_rate(q)
+        measured = np.empty(N)
+        for j in range(1, N + 1):
+            lo, hi = sorted((j, k))
+            P = partials[hi - 1] - partials[lo - 1]
+            W = psd_matfunc(P, lambda x: math.exp(gam * x))
+            measured[j - 1] = spectral_norm(W @ col.blocks[j - 1])
+        reports.append(_build_report("commuting", family, q, N, k, measured,
+                                     np.zeros(N), calibration, k,
+                                     {"kind": "commuting-weighted", **meta}))
+    return reports[0] if single else reports

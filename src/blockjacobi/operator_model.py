@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .dense_linalg import (block_scale, spectral_norm, tridiag_apply,
-                           _herm_eigvals_small)
+                           _sigma_min)
 
 __all__ = [
     "OperatorFamily",
@@ -121,11 +121,6 @@ class Truncation:
         """Magnitude scale used for relative tolerances."""
         return block_scale(self.diag_blocks, self.offdiag_blocks)
 
-    def block(self, x: np.ndarray, j: int) -> np.ndarray:
-        """j-th block (1-based) of a stacked vector or block column."""
-        d = self.dim
-        return x[(j - 1) * d: j * d]
-
 
 def assemble_truncation(family: OperatorFamily, N: int) -> Truncation:
     """Finite section with B_1..B_N on the diagonal and A_1..A_{N-1} above."""
@@ -183,14 +178,7 @@ def offdiag_kernel_flags(family: OperatorFamily, N: int) -> list[bool]:
     flags = []
     for n in range(1, N + 1):
         A = block_entries(family, n)[0]
-        m = float(np.abs(A).max())
-        if m == 0.0:
-            flags.append(False)
-            continue
-        B = A / m
-        ev = _herm_eigvals_small(B.conj().T @ B)
-        smin = m * float(np.sqrt(max(ev[0], 0.0)))
-        flags.append(smin > 1e-12 * spectral_norm(A))
+        flags.append(_sigma_min(A) > 1e-12 * spectral_norm(A))
     return flags
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockjacobi import (BoundParams, CommutationError, StParams,
+from blockjacobi import (BoundParams, CommutationError, OperatorFamily, StParams,
                          check_pairwise_commutation, simplified_regime_params,
                          diagonal_family, gamma_rate, operator_envelope,
                          phi_delta, psi, psi_inv, qualified_constant,
@@ -210,6 +210,20 @@ class TestOperatorEnvelope:
             check_pairwise_commutation(fam, 3)
         assert err.value.first[0] in ("A", "B", "A*")
         assert isinstance(err.value.first[1], int)
+
+    def test_commutation_break_at_200_pinned(self):
+        base = diagonal_family([1.0, 2.0], [3.0, 4.0], 0.5, 0.5)
+
+        def diag(n):
+            B = base.diag(n)
+            return B + np.array([[0.0, 0.5], [0.5, 0.0]]) if n == 200 else B
+
+        fam = OperatorFamily(2, base.offdiag, diag)
+        with pytest.raises(CommutationError) as err:
+            check_pairwise_commutation(fam, 300)
+        assert (err.value.first, err.value.second) == (("A", 1), ("B", 200))
+        assert str(err.value) == ("entries A_1 and B_200 do not commute: "
+                                  "relative commutator norm 4.472e-03 > 1e-10")
 
     def test_commuting_family_accepted(self):
         check_pairwise_commutation(diagonal_family([1, 2], [3, 4], 0.5, 0.5), 12)

@@ -309,6 +309,15 @@ class TestVerify:
             want += [f"{lam},{row}" for row in rows]
         assert grid_rows == want
 
+    def test_grid_lambda_at_b_is_input_error(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["verify", "--family", "scalar-free", "--lambda=-1:1:1", "--b=0",
+             "--N=30", "--out", str(tmp_path / "grid")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: Re(lambda) = 0.0 must be below b = 0.0"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_verify_merged_csv(self, tmp_path, capsys):
         prefix = tmp_path / "grid"
         code, _, _ = run_cli(

@@ -142,6 +142,30 @@ class TestSpectralNorm:
         assert dl.spectral_norm(A) == pytest.approx(2e-200, rel=1e-12)
 
 
+class TestSigmaMin:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_lapack(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(50):
+            A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            A *= 10.0 ** rng.uniform(-200, 200)
+            want = np.linalg.svd(A, compute_uv=False)
+            assert abs(dl._sigma_min(A) - want[-1]) <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rank_deficient_reads_near_zero(self, d):
+        rng = np.random.default_rng(200 + d)
+        for _ in range(50):
+            u = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
+            v = rng.standard_normal((d - 1, d)) + 1j * rng.standard_normal((d - 1, d))
+            A = u @ v
+            assert dl._sigma_min(A) <= 1e-14 * np.linalg.norm(A, 2)
+
+    def test_zero_and_scalar(self):
+        assert dl._sigma_min(np.zeros((2, 2))) == 0.0
+        assert dl._sigma_min(np.array([[-3.0 + 4.0j]])) == 5.0
+
+
 class TestPsdMatfunc:
     def test_identity_function(self):
         rng = np.random.default_rng(19)

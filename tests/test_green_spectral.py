@@ -12,6 +12,9 @@ from blockjacobi import (BoundParams, EmptySpectrumError, OperatorFamily,
                          verify_commuting_decay, verify_eigenvector_decay,
                          verify_green_decay)
 
+from blockjacobi import green_spectral
+from blockjacobi.green_spectral import perturbed_family
+
 from conftest import random_family, shift_first_block
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # decaying continued-fraction branch
@@ -177,6 +180,13 @@ class TestPerturbedTruncation:
         tr = assemble_truncation(st_deep, 10)
         with pytest.raises(ValueError, match="kernel"):
             perturbed_truncation(tr, 0.1, np.diag([1.0, 0.0]))
+
+    def test_rank_one_l_rejected(self, st_deep):
+        # sqrt(lambda_min(L* L)) read sigma_min = 2.7e-9 here (LAPACK: 1.2e-17)
+        L = np.outer([0.3, 0.7], [0.2, 0.9])
+        L = L / np.linalg.norm(L, 2)
+        with pytest.raises(ValueError, match="kernel"):
+            perturbed_family(st_deep, 0.1, L)
 
     def test_eigenvalue_moves_off_and_monotonically(self, st_deep):
         tr = assemble_truncation(st_deep, 120)
@@ -348,6 +358,66 @@ class TestVerifyCommutingDecay:
         fam = st_family(StParams(1.0, 4.0, 0.6))
         with pytest.raises(CommutationError):
             verify_commuting_decay(fam, BoundParams(lam=-1.0, b=0.0), N=30, k=1)
+
+
+class TestVerifyGrid:
+    DIAG = diagonal_family([1.0, 4.0], [2.0, 8.0], aexp=0.6, bexp=0.6)
+
+    @staticmethod
+    def grid(*lams):
+        return [BoundParams(lam=lam, b=0.0, delta=1.0, eps=0.1) for lam in lams]
+
+    @pytest.mark.parametrize("runner, family", [
+        (verify_green_decay, "st"), (verify_commuting_decay, "diag")])
+    def test_grid_equals_points(self, runner, family, st_critical):
+        fam = st_critical if family == "st" else self.DIAG
+        points = self.grid(-2.0, -1.0 + 0.5j, -0.5)
+        reports = runner(fam, points, 60, k=2)
+        assert isinstance(reports, list) and len(reports) == 3
+        for p, rep in zip(points, reports):
+            single = runner(fam, p, 60, k=2)
+            assert rep.csv_text() == single.csv_text()
+            assert rep.json_text() == single.json_text()
+
+    def test_one_point_grid_is_a_list(self):
+        p = BoundParams(lam=-3.0, b=-2.0)
+        reports = verify_green_decay(scalar_free_family(), [p], 30)
+        assert len(reports) == 1
+        assert reports[0].csv_text() == \
+            verify_green_decay(scalar_free_family(), p, 30).csv_text()
+
+    @pytest.mark.parametrize("runner", [verify_green_decay, verify_commuting_decay])
+    @pytest.mark.parametrize("field, value", [
+        ("b", 0.5), ("delta", 2.0), ("eps", 0.2)])
+    def test_mixed_grid_rejected(self, runner, field, value):
+        first = BoundParams(lam=-2.0, b=0.0)
+        other = BoundParams(**{"lam": -1.0, "b": 0.0, field: value})
+        with pytest.raises(ValueError, match="nonempty and share b, delta and eps"):
+            runner(self.DIAG, [first, other], 30)
+
+    @pytest.mark.parametrize("runner", [verify_green_decay, verify_commuting_decay])
+    def test_empty_grid_rejected(self, runner):
+        with pytest.raises(ValueError, match="nonempty and share b, delta and eps"):
+            runner(self.DIAG, [], 30)
+
+    def test_spectral_data_once_per_grid(self, monkeypatch):
+        calls = {}
+        for name in ("assemble_truncation", "check_pairwise_commutation",
+                     "tridiag_eigs_below", "tridiag_kth_eigenvalue",
+                     "green_column"):
+            fn = getattr(green_spectral, name)
+
+            def counted(*a, _fn=fn, _name=name, **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(green_spectral, name, counted)
+        reports = verify_commuting_decay(self.DIAG, self.grid(-2.0, -1.5, -1.0), 40)
+        assert len(reports) == 3
+        assert calls["assemble_truncation"] == 1
+        assert calls["check_pairwise_commutation"] == 1
+        assert calls["tridiag_eigs_below"] == 1
+        assert calls.get("tridiag_kth_eigenvalue", 0) <= 1
+        assert calls["green_column"] == 3
 
 
 class TestSturmHelpers:

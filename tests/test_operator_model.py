@@ -180,6 +180,20 @@ class TestKernelFlags:
         fam = diagonal_family([1.0, 0.0], [1.0, 1.0])
         assert offdiag_kernel_flags(fam, 2) == [False, False]
 
+    def test_rank_one_offdiag_flagged(self):
+        A = np.outer([0.2, 0.7], [0.2, 0.9])
+        fam = OperatorFamily(2, lambda n: A, lambda n: np.eye(2))
+        assert offdiag_kernel_flags(fam, 1) == [False]
+
+    def test_random_complex_rank_one_flagged(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            A = np.outer(u, v)
+            fam = OperatorFamily(2, lambda n: A, lambda n: np.eye(2))
+            assert offdiag_kernel_flags(fam, 1) == [False]
+
 
 class TestFamilyConstruction:
     def test_builtin_st(self):
