@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dense_linalg import abs_matrix, psd_matfunc, spectral_norm
-from .operator_model import OperatorFamily, block_entries
+from .operator_model import OperatorFamily, block_entries, _offdiag_stack
 
 __all__ = [
     "BoundParams",
@@ -164,9 +164,8 @@ def scalar_envelope(family: OperatorFamily, p: BoundParams, N: int) -> DecayEnve
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     S = np.zeros(N)
-    for m in range(1, N):
-        a = spectral_norm(block_entries(family, m)[0])
-        S[m] = S[m - 1] + phi_delta(a, p.delta)
+    norms = spectral_norm(_offdiag_stack(family, N - 1)).tolist()
+    S[1:] = np.cumsum([phi_delta(a, p.delta) for a in norms])
     return DecayEnvelope(gamma_rate(p), S, "scalar", p)
 
 
@@ -234,8 +233,7 @@ def operator_envelope(family: OperatorFamily, p: BoundParams, N: int) -> list:
     check_pairwise_commutation(family, N)
     gam = gamma_rate(p)
     d = family.dim
-    partials = _phi_partial_sums(
-        [block_entries(family, m)[0] for m in range(1, N)], d, p.delta)
+    partials = _phi_partial_sums(_offdiag_stack(family, N - 1), d, p.delta)
     return [np.eye(d, dtype=np.complex128)] + \
         [psd_matfunc(P, lambda x: math.exp(gam * x)) for P in partials[1:]]
 

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .bounds import BoundParams, gamma_rate, scalar_envelope, simplified_rate
-from .dense_linalg import SingularShiftError
+from .dense_linalg import SingularShiftError, vector_norm
 from .green_spectral import (CSV_HEADER, REPORT_COLUMNS, eigenpairs_below,
                              green_column, perturbed_truncation,
                              verify_commuting_decay, verify_eigenvector_decay,
@@ -206,14 +206,11 @@ def _cmd_eigs(args) -> int:
     lines = [CSV_HEADER,
              f"# command=eigs family={fam.label} N={args.N} b={_fmt(b)}",
              "kind,idx,eigenvalue,last_block_norm,boundary_suspect"]
-    payload = {"b": b, "N": args.N,
-               "perturbed_eigenvalues": None, "dist": None,
-               "offdiag_kernel_trivial":
-                   bool(all(offdiag_kernel_flags(fam, max(args.N - 1, 1))))}
+    payload = {"b": b, "N": args.N, "perturbed_eigenvalues": None, "dist": None}
 
     def rows(kind, prs):
         for i, pr in enumerate(prs, start=1):
-            tail = pr.block_norms(trunc.dim)[-1]
+            tail = vector_norm(pr.vector[-trunc.dim:])
             lines.append(f"{kind},{i},{_fmt(pr.value)},{_fmt(tail)},"
                          f"{'true' if pr.boundary_suspect else 'false'}")
 
@@ -227,6 +224,8 @@ def _cmd_eigs(args) -> int:
             payload["dist"] = min(abs(pairs[0].value - pr.value)
                                   for pr in ppairs)
     if args.format == "json":
+        payload["offdiag_kernel_trivial"] = \
+            bool(all(offdiag_kernel_flags(fam, max(args.N - 1, 1))))
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)

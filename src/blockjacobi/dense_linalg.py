@@ -11,12 +11,17 @@ block LDL* sweep.  Each multisection sweep spreads 128 shifts over the open
 eigenvalue brackets as levels of halving (127 shifts, 7 levels for a lone
 bracket), so one eigenvalue at the default tolerance takes about 7 sweeps
 where bisection took about 44, and comes out as the bisection midpoint bit
-for bit.  The test suite cross-checks these kernels against LAPACK oracles,
+for bit.  Block norms are stacked: spectral_norm maps one matrix to a float
+and a stack (S, m, n) to an (S,) array through one hermitian_eig call on the
+stack, each value bitwise what the per-block Jacobi gives (its arithmetic is
+replayed on the whole stack for n <= 2 and looped for n >= 3).
+The test suite cross-checks these kernels against LAPACK oracles,
 so the library itself avoids np.linalg solvers and eigensolvers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -74,15 +79,18 @@ class RootConvergenceError(ArithmeticError):
         )
 
 
-def vector_norm(x) -> float:
-    """Euclidean norm with overflow/underflow-safe scaling (entries can be
-    as small as 1e-300 in resolvent tails)."""
+def vector_norm(x):
+    """Euclidean norm with overflow/underflow-safe scaling (entries can be as
+    small as 1e-300 in resolvent tails): a float, or for a 2-d x the (S,)
+    norms of its rows, each bitwise what that row gives alone."""
     x = np.asarray(x)
-    m = float(np.abs(x).max()) if x.size else 0.0
-    if m == 0.0 or not np.isfinite(m):
-        return m
-    y = x / m
-    return m * float(np.sqrt((y * y.conj()).real.sum()))
+    X = x if x.ndim == 2 else x.reshape(1, -1)
+    m = np.abs(X).max(axis=1, initial=0.0)
+    ok = (m > 0.0) & np.isfinite(m)
+    with np.errstate(invalid="ignore"):
+        y = X / np.where(ok, m, 1.0)[:, None]
+        norms = np.where(ok, m * np.sqrt((y * y.conj()).real.sum(axis=1)), m)
+    return norms if x.ndim == 2 else float(norms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +118,13 @@ def hermitian_eig(H) -> EigDecomposition:
     Sweeps run in fixed (p, q) lexicographic order until the off-diagonal
     Frobenius mass drops below JACOBI_OFF_TOL * ||H||_F, so results are
     deterministic across runs.  Rejects non-Hermitian input (1e-10 relative).
+
+    A stack (S, n, n) gives values (S, n) and vectors (S, n, n), each member
+    bitwise what it gives alone wherever its sweeps converge: the arithmetic
+    is replayed on the whole stack for n <= 2 and looped for n >= 3.
     """
+    if np.ndim(H) == 3:
+        return _hermitian_eig_stack(np.asarray(H, dtype=np.complex128))
     A = _require_square(H)
     n = A.shape[0]
     if n == 0:
@@ -180,6 +194,62 @@ def hermitian_eig(H) -> EigDecomposition:
     return EigDecomposition(w, V)
 
 
+def _hermitian_eig_stack(A) -> EigDecomposition:
+    S, n, n2 = A.shape
+    if n != n2:
+        raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
+    if n > 2:
+        decs = [hermitian_eig(G) for G in A]
+        return EigDecomposition(np.reshape([e.values for e in decs], (S, n)),
+                                np.reshape([e.vectors for e in decs], (S, n, n)))
+    amax = np.abs(A).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(amax).all():
+        raise ArithmeticError("Jacobi eigensolver did not converge")
+    AH = A.conj().transpose(0, 2, 1)
+    if (np.abs(A - AH).max(axis=(1, 2), initial=0.0) > 1e-10 * amax).any():
+        raise ValueError("matrix is not Hermitian (relative deviation > 1e-10)")
+    W = (A + AH) / np.where(amax > 0.0, 2.0 * amax, 1.0)[:, None, None]
+    w = np.diagonal(W, axis1=1, axis2=2).real
+    V = np.tile(np.eye(n, dtype=np.complex128), (S, 1, 1))
+    if n == 2:
+        # one rotation zeroes a 2x2 W's off-diagonal entries exactly, so the
+        # next sweep's check always stops it
+        target = JACOBI_OFF_TOL * vector_norm(W.reshape(S, 4))
+        off = vector_norm((W - w[:, :, None] * np.eye(2)).reshape(S, 4))
+        # the loop's abs() of the complex *scalar* a_pq is hypot(Re, Im); np.abs
+        # on an array (a SIMD loop) differs from it by one ulp on many complex
+        # entries, so only array-level reductions stay np.abs
+        apq = W[:, 0, 1]
+        r = np.hypot(apq.real, apq.imag)
+        rot = (off > target) & (r > target / 8.0)
+        r = np.where(rot, r, 1.0)
+        ph = apq / r
+        tau = (w[:, 1] - w[:, 0]) / (2.0 * r)
+        t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        sp, sq = s * ph, s * np.conj(ph)
+        # W G, then G^* (W G), with G = [[c, s ph], [-s conj(ph), c]]
+        (a, b), (e, f) = W[:, 0].T, W[:, 1].T
+        p0, p1 = c * a - sq * b, c * e - sq * f
+        q0, q1 = sp * a + c * b, sp * e + c * f
+        turned = np.stack([(c * p0 - sp * p1).real, (sq * q0 + c * q1).real], axis=1)
+        w = np.where(rot[:, None], turned, w)
+        c, sp, sq, I = c[:, None], sp[:, None], sq[:, None], np.eye(2, dtype=np.complex128)
+        G = np.stack([c * I[:, 0] - sq * I[:, 1], sp * I[:, 0] + c * I[:, 1]], axis=2)
+        V = np.where(rot[:, None, None], G, V)
+    w = np.where(amax[:, None] > 0.0, w * amax[:, None], 0.0)
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    for i in range(n):  # the deterministic phase, as for one matrix
+        col = V[:, :, i]
+        piv = col[np.arange(S), np.argmax(np.abs(col), axis=1)]
+        mag = np.where(piv != 0, np.hypot(piv.real, piv.imag), 1.0)
+        V[:, :, i] = np.where((piv != 0)[:, None], col * (np.conj(piv) / mag)[:, None], col)
+    return EigDecomposition(w, V)
+
+
 def abs_matrix(A) -> np.ndarray:
     """|A| = (A* A)^(1/2), Hermitian positive semidefinite."""
     A = _require_square(A)
@@ -194,18 +264,26 @@ def abs_matrix(A) -> np.ndarray:
     return (S + S.conj().T) / 2.0
 
 
-def spectral_norm(A) -> float:
-    """Largest singular value (operator 2-norm), scale-safe."""
+def spectral_norm(A):
+    """Largest singular value (operator 2-norm), scale-safe.
+
+    One matrix (a 1-d A is one row) gives a float; a stack (S, m, n) gives an
+    (S,) array by one stacked hermitian_eig of the Gram matrices, bitwise what
+    each matrix gives alone.  A member whose scaled Gram matrix is not finite
+    (non-finite entries, or 1 / max|A| overflows) gives NaN.
+    """
     A = np.asarray(A, dtype=np.complex128)
-    if A.ndim == 1:
-        A = A[None, :]
-    m = float(np.abs(A).max()) if A.size else 0.0
-    if m == 0.0:
-        return 0.0
-    B = A / m
-    H = B.conj().T @ B
-    dec = hermitian_eig(H)
-    return m * float(np.sqrt(max(dec.values[-1], 0.0)))
+    single = A.ndim < 3
+    A = A[(None,) * (3 - A.ndim)]
+    m = np.abs(A).max(axis=(1, 2), initial=0.0)
+    with np.errstate(all="ignore"):
+        B = A / np.where(m > 0.0, m, 1.0)[:, None, None]
+        H = B.conj().transpose(0, 2, 1) @ B
+        ok = np.isfinite(H).all(axis=(1, 2))
+        top = hermitian_eig(np.where(ok[:, None, None], H, 0.0)).values
+        top = np.maximum(top.max(axis=1, initial=-np.inf), 0.0)
+        norms = np.where(ok, np.where(m == 0.0, 0.0, m * np.sqrt(top)), np.nan)
+    return float(norms[0]) if single else norms
 
 
 def _sigma_min(A) -> float:
@@ -361,47 +439,57 @@ def block_tridiag_factor(trunc, shift,
                          check_conditioning: bool = True) -> BlockTridiagLU:
     """Factor (T - shift*I) by block forward elimination.
 
-    With check_conditioning, a pivot block whose condition estimate exceeds
-    COND_LIMIT raises SingularShiftError (structure-preserving: no repair is
-    attempted).  Without it, singular pivots are nudged by a tiny multiple
-    of the problem scale so that shifts arbitrarily close to eigenvalues
-    remain usable (inverse iteration relies on this).
+    With check_conditioning, SingularShiftError names the first pivot block
+    whose condition estimate exceeds COND_LIMIT or is NaN; the estimates are
+    taken for all pivots at once, and an exactly singular pivot stops the
+    elimination early (structure-preserving: no repair is attempted).
+    Without it, singular pivots are nudged by a tiny multiple of the
+    problem scale so that shifts arbitrarily close to eigenvalues remain
+    usable (inverse iteration relies on this).
     """
     diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
     N, d = diag_blocks.shape[:2]
     I = np.eye(d, dtype=np.complex128)
     scale = max(block_scale(diag_blocks, offdiag_blocks), abs(shift))
     bump = 1e-13 * scale
+    pivots, inverses, factors, transforms, forwards = [], [], [], [], []
 
-    pivots, factors, transforms, forwards = [], [], [], []
-    conds = np.empty(N)
-    D = diag_blocks[0] - shift * I
-    for k in range(N):
-        fac = _lu_factor_small(D)
-        if fac is None:
-            if check_conditioning:
-                raise SingularShiftError(k + 1, np.inf)
-            D = D + bump * I
-            fac = _lu_factor_small(D)
-            if fac is None:
-                raise SingularShiftError(k + 1, np.inf)
-        Dinv = _lu_solve_small(fac, I)
+    def conds(k: int) -> np.ndarray:
         # singular shifts surface as pivots tiny against the problem scale,
         # so the estimate is scale-relative (a bare sigma_max/sigma_min is
         # blind to them for well-conditioned small blocks, e.g. any d = 1)
-        cond = max(spectral_norm(D), scale) * spectral_norm(Dinv)
-        conds[k] = cond
-        if check_conditioning and cond > COND_LIMIT:
-            raise SingularShiftError(k + 1, cond)
-        pivots.append(D)
-        factors.append(fac)
-        if k < N - 1:
-            A = offdiag_blocks[k]
-            transforms.append(Dinv @ A)
-            forwards.append(A.conj().T @ Dinv)
-            D = diag_blocks[k + 1] - shift * I - A.conj().T @ (Dinv @ A)
+        cond = np.maximum(spectral_norm(np.reshape(pivots[:k], (k, d, d))), scale) * \
+            spectral_norm(np.reshape(inverses[:k], (k, d, d)))
+        bad = np.flatnonzero(~(cond <= COND_LIMIT))
+        if check_conditioning and bad.size:
+            raise SingularShiftError(int(bad[0]) + 1, float(cond[bad[0]]))
+        return cond
+
+    D = diag_blocks[0] - shift * I
+    # a checked factor runs on past a bad pivot before conds() names it
+    with np.errstate(all="ignore") if check_conditioning else contextlib.nullcontext():
+        for k in range(N):
+            fac = _lu_factor_small(D)
+            if fac is None:
+                if check_conditioning:
+                    conds(k)
+                    raise SingularShiftError(k + 1, np.inf)
+                D = D + bump * I
+                fac = _lu_factor_small(D)
+                if fac is None:
+                    raise SingularShiftError(k + 1, np.inf)
+            Dinv = _lu_solve_small(fac, I)
+            pivots.append(D)
+            inverses.append(Dinv)
+            factors.append(fac)
+            if k < N - 1:
+                A = offdiag_blocks[k]
+                transforms.append(Dinv @ A)
+                forwards.append(A.conj().T @ Dinv)
+                D = diag_blocks[k + 1] - shift * I - A.conj().T @ (Dinv @ A)
+        cond_estimates = conds(N)
     return BlockTridiagLU(shift, N, d, tuple(pivots), tuple(factors),
-                          tuple(transforms), tuple(forwards), conds)
+                          tuple(transforms), tuple(forwards), cond_estimates)
 
 
 def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
@@ -708,7 +796,7 @@ def tridiag_count_below(trunc, x):
 def _gershgorin_bounds(B, A):
     """Block Gershgorin bracket of the spectrum: each diagonal block's
     eigenvalues widened by ||A_{k-1}|| + ||A_k||."""
-    norms = [spectral_norm(Ak) for Ak in A]
+    norms = spectral_norm(A)
     r = np.zeros(B.shape[0])
     r[1:] += norms
     r[:-1] += norms

@@ -64,15 +64,16 @@ class EmptySpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class GreenBlockSet:
-    """Column k of the truncated resolvent: blocks[j-1] = G_{j,k}(lambda)."""
+    """Column k of the truncated resolvent: blocks[j-1] = G_{j,k}(lambda),
+    a read-only (N, d, d) array."""
 
     lam: complex
     source: int
     nblocks: int
-    blocks: tuple
+    blocks: np.ndarray
 
     def norms(self) -> np.ndarray:
-        return np.array([spectral_norm(G) for G in self.blocks])
+        return spectral_norm(self.blocks)
 
 
 def green_column(trunc: Truncation, lam: complex, k: int) -> GreenBlockSet:
@@ -86,9 +87,8 @@ def green_column(trunc: Truncation, lam: complex, k: int) -> GreenBlockSet:
         raise ValueError(f"source index {k} out of range 1..{N}")
     rhs = np.zeros((N * d, d), dtype=np.complex128)
     rhs[(k - 1) * d: k * d, :] = np.eye(d)
-    fac = block_tridiag_factor(trunc, lam)
-    X = fac.solve(rhs)
-    blocks = tuple(X[j * d:(j + 1) * d, :].copy() for j in range(N))
+    blocks = block_tridiag_factor(trunc, lam).solve(rhs).reshape(N, d, d)
+    blocks.setflags(write=False)
     return GreenBlockSet(lam, k, N, blocks)
 
 
@@ -106,8 +106,7 @@ class Eigenpair:
     boundary_suspect: bool
 
     def block_norms(self, dim: int) -> np.ndarray:
-        v = self.vector.reshape(-1, dim)
-        return np.array([vector_norm(row) for row in v])
+        return vector_norm(self.vector.reshape(-1, dim))
 
 
 def eigenpairs_below(trunc: Truncation, b: float,
@@ -458,12 +457,13 @@ def verify_commuting_decay(family: OperatorFamily, p, N: int, k: int = 1,
     for q, meta in zip(points, _qualified_metas(trunc, points)):
         col = green_column(trunc, q.lam, k)
         gam = gamma_rate(q)
-        measured = np.empty(N)
+        weighted = []
         for j in range(1, N + 1):
             lo, hi = sorted((j, k))
             P = partials[hi - 1] - partials[lo - 1]
             W = psd_matfunc(P, lambda x: math.exp(gam * x))
-            measured[j - 1] = spectral_norm(W @ col.blocks[j - 1])
+            weighted.append(W @ col.blocks[j - 1])
+        measured = spectral_norm(np.array(weighted))
         reports.append(_build_report("commuting", family, q, N, k, measured,
                                      np.zeros(N), calibration, k,
                                      {"kind": "commuting-weighted", **meta}))

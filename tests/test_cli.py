@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from blockjacobi import assemble_truncation, cli, eigenpairs_below, parse_family_spec
 from blockjacobi.cli import _parse_lambda, main
 
 
@@ -155,6 +157,74 @@ class TestEigs:
         assert len(payload["eigenvalues"]) == 1
         assert payload["eigenvalues"][0] == pytest.approx(-8.124, abs=1e-2)
         assert payload["dist"] > 0
+
+
+class TestEigsKernelFlags:
+    N = 40
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        """eigs on the st blocks (s = t = 2, alpha = 0.6) with a well of depth
+        -10 on the first block: two eigenpairs below b = 0."""
+        blocks = [{"n": n, "A": [0.0, n ** 0.6, n ** 0.6, 0.0],
+                   "B": [2 * n ** 0.6 - 10.0 * (n == 1), 0.0, 0.0,
+                         2 * n ** 0.6 - 10.0 * (n == 1)]} for n in range(1, self.N + 1)]
+        path = tmp_path / "well.json"
+        path.write_text(json.dumps({"dim": 2, "blocks": blocks}))
+        return ["eigs", "--family", str(path), f"--N={self.N}", "--b=0", "--tau=0.01"]
+
+    def test_only_json_computes_kernel_flags(self, argv, monkeypatch, capsys):
+        calls = []
+        original = cli.offdiag_kernel_flags
+
+        def counting(fam, n):
+            calls.append(n)
+            return original(fam, n)
+
+        monkeypatch.setattr(cli, "offdiag_kernel_flags", counting)
+        code, csv_out, _ = run_cli(argv, capsys)
+        assert code == 0 and calls == []
+        code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and calls == [self.N - 1]
+        payload = json.loads(json_out)
+        assert sorted(payload) == ["N", "b", "dist", "eigenvalues",
+                                   "offdiag_kernel_trivial", "perturbed_eigenvalues"]
+        assert payload["offdiag_kernel_trivial"] is True
+        assert payload["N"] == self.N and payload["b"] == 0.0
+        assert len(payload["eigenvalues"]) == 2
+        rows = [r.split(",") for r in csv_out.splitlines()[3:]]
+        for kind, key in (("base", "eigenvalues"), ("perturbed", "perturbed_eigenvalues")):
+            assert [float(r[2]) for r in rows if r[0] == kind] == payload[key]
+        assert payload["dist"] == min(abs(payload["eigenvalues"][0] - v)
+                                      for v in payload["perturbed_eigenvalues"])
+
+    def test_last_block_norm_is_last_of_block_norms(self, argv, capsys):
+        code, csv_out, _ = run_cli(argv[:-1], capsys)
+        assert code == 0
+        pairs = eigenpairs_below(
+            assemble_truncation(parse_family_spec(argv[2]), self.N), 0.0)
+        tails = [r.split(",")[3] for r in csv_out.splitlines()[3:]]
+        assert len(tails) == 2
+        assert tails == [cli._fmt(pr.block_norms(2)[-1]) for pr in pairs]
+
+
+class TestGreenAtEigenvalue:
+    @pytest.mark.parametrize("N", [3, 6])
+    def test_one_error_line(self, N, tmp_path, capsys):
+        # sqrt(2) is an eigenvalue of the 3-block free section: pivot 3 is
+        # ill-conditioned, the last one at N = 3 and mid-chain at N = 6
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(
+                ["green", "--family", "scalar-free", "--lambda=1.4142135623730951",
+                 f"--N={N}", "--k=1", "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: singular shift: pivot block 3 has condition "
+                              "estimate ")
+        assert err.endswith(" (limit 1e+12)\n")
+        assert not out.exists()
 
 
 class TestExample:

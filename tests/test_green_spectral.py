@@ -5,7 +5,7 @@ import pytest
 
 from blockjacobi import (BoundParams, EmptySpectrumError, OperatorFamily,
                          SingularShiftError, assemble_truncation,
-                         block_entries, diagonal_family, eigenpairs_below,
+                         block_entries, block_tridiag_factor, diagonal_family, eigenpairs_below,
                          gamma_rate, green_column, perturbed_truncation,
                          scalar_free_family, spectral_norm,
                          tridiag_count_below, tridiag_kth_eigenvalue,
@@ -64,6 +64,21 @@ class TestGreenColumn:
         resid = (T - lam * np.eye(60)) @ stacked
         resid[8:10, :] -= np.eye(2)
         assert np.abs(resid).max() < 1e-9
+
+    def test_blocks_are_one_read_only_stack(self):
+        tr = assemble_truncation(random_family(72, 2), 30)
+        col = green_column(tr, -4.0 - 1.0j, 5)
+        assert isinstance(col.blocks, np.ndarray)
+        assert col.blocks.shape == (30, 2, 2) and not col.blocks.flags.writeable
+        with pytest.raises(ValueError):
+            col.blocks[0, 0, 0] = 1.0
+        rhs = np.zeros((60, 2), complex)
+        rhs[8:10] = np.eye(2)
+        X = block_tridiag_factor(tr, -4.0 - 1.0j).solve(rhs)
+        assert np.vstack(col.blocks).tobytes() == X.tobytes()
+        assert col.blocks[4].tobytes() == X[8:10].tobytes()
+        assert col.norms().tobytes() == \
+            np.array([spectral_norm(G) for G in col.blocks]).tobytes()
 
     @pytest.mark.parametrize("seed,d", [(81, 1), (82, 2), (83, 3)])
     def test_adjoint_symmetry(self, seed, d):

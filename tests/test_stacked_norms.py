@@ -1,0 +1,349 @@
+"""Stacked block norms against the per-block reference, bit for bit, and the
+SingularShiftError contract of the factor's deferred condition check."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockjacobi import dense_linalg as dl
+
+
+def reference_spectral_norm(A) -> float:
+    """The per-block spectral_norm body the stacked kernel replaces: the full
+    cyclic Jacobi of hermitian_eig on A* A / max|A|^2, one matrix at a time."""
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim == 1:
+        A = A[None, :]
+    m = float(np.abs(A).max()) if A.size else 0.0
+    if m == 0.0:
+        return 0.0
+    B = A / m
+    H = B.conj().T @ B
+    dec = dl.hermitian_eig(H)
+    return m * float(np.sqrt(max(dec.values[-1], 0.0)))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def check_stack(A):
+    """Stacked norms equal the per-block reference bitwise, and each member
+    alone (S = 1) gives the same float.  Where the reference fails: a member
+    whose 1 / max|A| overflows gives NaN; otherwise a subnormal off-diagonal
+    Gram entry overflowed the reference's off-diagonal norm to NaN, so it
+    never converged, and there n <= 2 members must match LAPACK instead and
+    n >= 3 stacks must fail the same way."""
+    want = []
+    for a in A:
+        with np.errstate(all="ignore"):
+            try:
+                want.append(reference_spectral_norm(a))
+            except ArithmeticError:
+                want.append(None if np.isfinite(1.0 / np.abs(a).max()) else np.nan)
+    if A.shape[2] >= 3 and None in want:
+        with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
+            dl.spectral_norm(A)
+        return
+    got = dl.spectral_norm(A)
+    assert isinstance(got, np.ndarray) and got.shape == (A.shape[0],)
+    for a, g, w in zip(A, got, want):
+        single = dl.spectral_norm(a)
+        assert isinstance(single, float)
+        assert same_bits(single, g)
+        if w is None:
+            sv = np.linalg.svd(a, compute_uv=False)[0]
+            assert abs(g - sv) <= 1e-13 * sv
+        elif np.isnan(w):
+            assert np.isnan(g)
+        else:
+            assert same_bits(g, w)
+
+
+def check_eig_stack(H):
+    """The stacked hermitian_eig equals the per-matrix call bitwise, values
+    and vectors, for every member whose own sweeps converge."""
+    dec = dl.hermitian_eig(H)
+    assert dec.values.shape == H.shape[:2] and dec.vectors.shape == H.shape
+    for h, w, V in zip(H, dec.values, dec.vectors):
+        one = dl.hermitian_eig(h)
+        assert same_bits(one.values, w) and same_bits(one.vectors, V)
+
+
+# complex entries m * 10^e over 500 decades; whole blocks may be zero
+_mantissa = st.floats(-1.0, 1.0, allow_nan=False)
+_entry = st.builds(lambda re, im, e: complex(re, im) * 10.0 ** e,
+                   _mantissa, _mantissa, st.integers(-250, 250))
+
+
+@st.composite
+def block_stacks(draw):
+    d = draw(st.integers(1, 3))
+    S = draw(st.integers(1, 6))
+    blocks = []
+    for _ in range(S):
+        if draw(st.booleans()) and draw(st.booleans()):
+            blocks.append(np.zeros((d, d), complex))
+        else:
+            blocks.append(np.array(draw(st.lists(_entry, min_size=d * d,
+                                                 max_size=d * d))).reshape(d, d))
+    return np.array(blocks, dtype=complex)
+
+
+@st.composite
+def st_type_stacks(draw):
+    """Real antidiagonal blocks n^alpha [[0, 1], [1, 0]] (the st couplings)
+    and real antidiagonal blocks with unequal entries, as pivots see them."""
+    alpha = draw(st.floats(0.05, 0.95))
+    ns = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=8))
+    blocks = []
+    for n in ns:
+        a = float(n) ** alpha
+        b = a if draw(st.booleans()) else draw(st.floats(-1e6, 1e6, allow_nan=False))
+        blocks.append([[0.0, a], [b, 0.0]])
+    return np.array(blocks, dtype=complex)
+
+
+class TestStackedSpectralNorm:
+    @settings(deadline=None, max_examples=150)
+    @given(block_stacks())
+    def test_stack_equals_per_block(self, A):
+        check_stack(A)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st_type_stacks())
+    def test_st_antidiagonal_equals_per_block(self, A):
+        check_stack(A)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_stacks_equal_per_block(self, d):
+        rng = np.random.default_rng(40 + d)
+        S = 400 if d < 3 else 60
+        A = rng.standard_normal((S, d, d)) + 1j * rng.standard_normal((S, d, d))
+        A[1::3] = A[1::3].real  # real members
+        A[2::7] *= 10.0 ** rng.uniform(-250, 250, (A[2::7].shape[0], 1, 1))
+        A[::11] = 0.0
+        check_stack(A)
+
+    def test_rectangular_and_row_inputs(self):
+        rng = np.random.default_rng(5)
+        for shape in [(7, 1, 2), (7, 3, 2), (7, 2, 1), (7, 4, 3)]:
+            check_stack(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        assert same_bits(dl.spectral_norm(v), reference_spectral_norm(v))
+
+    def test_empty_and_zero(self):
+        assert dl.spectral_norm(np.zeros((0, 2, 2))).shape == (0,)
+        assert dl.spectral_norm(np.zeros((2, 2))) == 0.0
+        assert np.array_equal(dl.spectral_norm(np.zeros((3, 2, 0))), np.zeros(3))
+
+    def test_subnormal_gram_entry_where_reference_fails(self):
+        # A* A has the off-diagonal entry 1e-310: the reference Jacobi raises,
+        # the stacked kernel returns the exact norm
+        A = np.array([[1.0, 1e-310], [0.0, 0.5]])
+        with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
+            reference_spectral_norm(A)
+        assert dl.spectral_norm(A) == 1.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_subnormal_largest_entry_gives_nan(self, d):
+        # the reference's 1 / max|A| overflows and its Jacobi raises
+        A = np.zeros((d, d), complex)
+        A[d - 1, d - 1] = 2.22507386e-309j
+        with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
+            reference_spectral_norm(A)
+        assert np.isnan(dl.spectral_norm(A))
+        check_stack(np.array([A, np.eye(d)]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_non_finite_member_gives_nan(self, d):
+        A = np.array([np.eye(d)] * 4, dtype=complex)
+        A[1, 0, 0], A[2, 0, 0], A[3, 0, 0] = np.inf, np.nan, complex(1.0, -np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dl.spectral_norm(A)
+        assert got[0] == 1.0 and np.isnan(got[1:]).all()
+
+
+def hermitian(A):
+    return A + A.conj().transpose(0, 2, 1)
+
+
+class TestStackedHermitianEig:
+    @settings(deadline=None, max_examples=150)
+    @given(block_stacks())
+    def test_stack_equals_per_matrix(self, A):
+        H = hermitian(A)
+        try:
+            with np.errstate(all="ignore"):
+                for h in H:
+                    dl.hermitian_eig(h)
+        except ArithmeticError:
+            return  # a member that never converges alone has nothing to match
+        check_eig_stack(H)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_gram_stacks(self, d):
+        rng = np.random.default_rng(60 + d)
+        A = rng.standard_normal((300, d, d)) + 1j * rng.standard_normal((300, d, d))
+        A[1::3] = A[1::3].real
+        A[::7] = np.array([np.diag(np.diag(a)) for a in A[::7]])
+        A[::11] = 0.0
+        check_eig_stack(A.conj().transpose(0, 2, 1) @ A)
+        check_eig_stack(hermitian(A))
+
+    def test_rejects_what_one_matrix_rejects(self):
+        with pytest.raises(ValueError):
+            dl.hermitian_eig(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+        with pytest.raises(ValueError):
+            dl.hermitian_eig(np.zeros((2, 2, 3)))
+        with pytest.raises(ArithmeticError):
+            dl.hermitian_eig(np.array([np.eye(2), np.diag([np.inf, 1.0])]))
+        assert dl.hermitian_eig(np.zeros((0, 2, 2))).values.shape == (0, 2)
+
+
+class TestStackedVectorNorm:
+    def test_rows_equal_single_vectors(self):
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3, 7, 8, 130):
+            X = (rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))) \
+                * 10.0 ** rng.uniform(-250, 250, (50, 1))
+            X[::9] = 0.0
+            got = dl.vector_norm(X)
+            assert same_bits(got, [dl.vector_norm(row) for row in X])
+
+    def test_last_block_alone_equals_block_norms(self):
+        rng = np.random.default_rng(10)
+        v = rng.standard_normal(600) + 1j * rng.standard_normal(600)
+        v[-20:] *= 1e-290
+        rows = dl.vector_norm(v.reshape(-1, 2))
+        assert same_bits(rows[-1], dl.vector_norm(v[-2:]))
+
+
+def reference_conds(fac, scale):
+    """The per-pivot condition estimate the factor used to compute in its
+    elimination loop."""
+    I = np.eye(fac.dim, dtype=np.complex128)
+    out = []
+    for D, lu in zip(fac.pivot_blocks, fac.pivot_factors):
+        Dinv = dl._lu_solve_small(lu, I)
+        out.append(max(reference_spectral_norm(D), scale) * reference_spectral_norm(Dinv))
+    return np.array(out)
+
+
+def problem_scale(B, A, shift):
+    return max(dl.block_scale(B, A), abs(shift))
+
+
+class TestConditionEstimates:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("check", [True, False])
+    def test_equal_per_pivot_reference(self, d, check):
+        rng = np.random.default_rng(70 + d)
+        N = 30
+        B = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
+        B = B + B.conj().transpose(0, 2, 1)
+        A = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
+        shift = -20.0 - 1.0j
+        fac = dl.block_tridiag_factor((B, A), shift, check_conditioning=check)
+        assert same_bits(fac.cond_estimates, reference_conds(fac, problem_scale(B, A, shift)))
+
+    def test_st_truncation_and_nudged_unchecked_factor(self):
+        from blockjacobi import assemble_truncation, parse_family_spec
+        tr = assemble_truncation(parse_family_spec("st:s=2,t=2,alpha=0.6"), 200)
+        B, A = tr.diag_blocks, tr.offdiag_blocks
+        for shift in (-1.0, -3.5):
+            fac = dl.block_tridiag_factor(tr, shift)
+            assert same_bits(fac.cond_estimates, reference_conds(fac, problem_scale(B, A, shift)))
+        # an exactly singular first pivot is nudged when unchecked
+        Bs = np.array([np.diag([1.0, 2.0])] * 4, dtype=complex)
+        As = np.array([0.5 * np.eye(2)] * 3, dtype=complex)
+        fac = dl.block_tridiag_factor((Bs, As), 1.0, check_conditioning=False)
+        assert fac.pivot_blocks[0][0, 0] != 0.0
+        assert same_bits(fac.cond_estimates, reference_conds(fac, problem_scale(Bs, As, 1.0)))
+
+
+def mid_chain_problem():
+    """d = 2, couplings 0.5 I, diagonal pivots; B_3 is chosen so that pivot 3
+    is about diag(1e-13, 1): ill-conditioned, not singular."""
+    N = 6
+    A = np.array([0.5 * np.eye(2)] * (N - 1), dtype=complex)
+    diag = [[3.0, 2.0], [3.0, 3.0], None, [3.0, 5.0], [3.0, 6.0], [3.0, 7.0]]
+    d1 = np.array(diag[0])
+    d2 = np.array(diag[1]) - 0.25 / d1
+    diag[2] = np.array([1e-13, 1.0]) + 0.25 / d2
+    B = np.array([np.diag(v) for v in diag], dtype=complex)
+    return B, A
+
+
+class TestDeferredConditionCheck:
+    def test_mid_chain_pivot_named_with_per_pivot_message(self):
+        B, A = mid_chain_problem()
+        ref = dl.block_tridiag_factor((B, A), 0.0, check_conditioning=False)
+        cond = reference_conds(ref, problem_scale(B, A, 0.0))
+        assert cond[:2].max() <= dl.COND_LIMIT < cond[2]
+        with pytest.raises(dl.SingularShiftError) as err:
+            dl.block_tridiag_factor((B, A), 0.0)
+        assert err.value.block_index == 3
+        assert str(err.value) == str(dl.SingularShiftError(3, float(cond[2])))
+        assert str(err.value).startswith("singular shift: pivot block 3 has condition estimate")
+
+    def test_ill_conditioned_pivot_reported_before_later_singular_one(self):
+        # no coupling, shift 0: the pivots are the diagonal blocks exactly;
+        # pivot 2 is ill-conditioned and pivot 4 exactly singular
+        B = np.array([np.diag(v) for v in
+                      ([1.0, 2.0], [1e-14, 1.0], [2.0, 3.0], [0.0, 1.0], [1.0, 1.0])],
+                     dtype=complex)
+        A = np.zeros((4, 2, 2), dtype=complex)
+        with pytest.raises(dl.SingularShiftError) as err:
+            dl.block_tridiag_factor((B, A), 0.0)
+        assert err.value.block_index == 2
+        assert str(err.value) == ("singular shift: pivot block 2 has condition "
+                                  "estimate 3.000e+14 (limit 1e+12)")
+        B[1] = np.eye(2)  # without the earlier bad pivot, pivot 4 raises at once
+        with pytest.raises(dl.SingularShiftError) as err:
+            dl.block_tridiag_factor((B, A), 0.0)
+        assert err.value.block_index == 4 and err.value.cond == np.inf
+
+    def test_failing_factor_emits_no_warning(self):
+        # pivot 2 = diag(1e-300, 1) and couplings 1e5 I after it: running on
+        # past it overflows the later pivots to inf and NaN
+        B = np.array([np.diag([1.0, 2.0]), np.diag([1e-300, 1.0])]
+                     + [np.diag([1.0, 2.0])] * 4, dtype=complex)
+        A = np.array([np.zeros((2, 2))] + [1e5 * np.eye(2)] * 4, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dl.SingularShiftError) as err:
+                dl.block_tridiag_factor((B, A), 0.0)
+        assert err.value.block_index == 2
+        assert "condition estimate 1.000e+305" in str(err.value)
+
+    def test_failing_d3_factor_names_the_earlier_pivot(self):
+        # the d = 3 version: the later pivots overflow to inf and NaN, whose
+        # condition estimates (the n >= 3 per-member path) must give NaN
+        # rather than stop the Jacobi with ArithmeticError
+        B = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([1e-300, 1.0, 1.0])]
+                     + [np.diag([1.0, 2.0, 3.0])] * 4, dtype=complex)
+        A = np.array([np.zeros((3, 3))] + [1e5 * np.eye(3)] * 4, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(dl.SingularShiftError) as err:
+                dl.block_tridiag_factor((B, A), 0.0)
+        assert err.value.block_index == 2
+        assert "condition estimate 1.000e+305" in str(err.value)
+
+    def test_unchecked_factor_keeps_its_warnings(self):
+        # only a checked factor silences the elimination it runs past a bad
+        # pivot; inverse iteration's unchecked factor warns on overflow
+        B = np.array([np.diag([1.0, 2.0]), np.diag([1e-300, 1.0])]
+                     + [np.diag([1.0, 2.0])] * 4, dtype=complex)
+        A = np.array([np.zeros((2, 2))] + [1e5 * np.eye(2)] * 4, dtype=complex)
+        with pytest.warns(RuntimeWarning):
+            try:
+                dl.block_tridiag_factor((B, A), 0.0, check_conditioning=False)
+            except dl.SingularShiftError:
+                pass
