@@ -213,15 +213,13 @@ def check_pairwise_commutation(family: OperatorFamily, N: int) -> None:
                                    C[i, j] / den[i, j], COMMUTATION_TOL)
 
 
-def _phi_partial_sums(offdiag_blocks, d: int, delta: float) -> list:
+def _phi_partial_sums(offdiag_blocks, d: int, delta: float) -> np.ndarray:
     """Operator partial sums P_m = sum_{i<m} phi_delta(|A_i|) for
-    m = 1..len(offdiag_blocks) + 1, where offdiag_blocks holds A_1, A_2, ...;
-    P_1 = 0."""
-    partials = [np.zeros((d, d), dtype=np.complex128)]
-    for A in offdiag_blocks:
-        partials.append(partials[-1] +
-                        psd_matfunc(abs_matrix(A), lambda x: phi_delta(x, delta)))
-    return partials
+    m = 1..len(offdiag_blocks) + 1, where offdiag_blocks holds A_1, A_2, ...,
+    as one (len + 1, d, d) array; P_1 = 0."""
+    phis = psd_matfunc(np.reshape([abs_matrix(A) for A in offdiag_blocks], (-1, d, d)),
+                       lambda x: phi_delta(x, delta))
+    return np.cumsum(np.concatenate([np.zeros((1, d, d), np.complex128), phis]), axis=0)
 
 
 def operator_envelope(family: OperatorFamily, p: BoundParams, N: int) -> list:
@@ -235,7 +233,7 @@ def operator_envelope(family: OperatorFamily, p: BoundParams, N: int) -> list:
     d = family.dim
     partials = _phi_partial_sums(_offdiag_stack(family, N - 1), d, p.delta)
     return [np.eye(d, dtype=np.complex128)] + \
-        [psd_matfunc(P, lambda x: math.exp(gam * x)) for P in partials[1:]]
+        list(psd_matfunc(partials[1:], lambda x: math.exp(gam * x)))
 
 
 def qualified_constant(family: OperatorFamily, p: BoundParams, M: int,

@@ -9,8 +9,9 @@ Exit status: 0 on success with all verdicts passing, 2 when a verification
 verdict fails, 1 on input errors (unknown family, malformed file,
 parameter-domain violations).  Identical configurations produce
 bitwise-identical report files; floats are rendered with 17 significant
-digits.  Lambda grids are reported in input order; the points of a verify
-grid share one truncation, one spectral query and one commutation check.
+digits.  Lambda grids are reported in input order; a green or verify grid
+shares one shift-batched block factor and solve (one lambda is the S = 1
+case), a verify grid also one truncation, spectral query and commutation check.
 """
 
 from __future__ import annotations
@@ -178,15 +179,14 @@ def _cmd_green(args) -> int:
     if not 1 <= k <= args.N:
         raise CliError(f"--k must lie in 1..{args.N}")
     trunc = assemble_truncation(fam, args.N)
-    results = [green_column(trunc, lam, k).norms() for lam in lams]
+    results = [col.norms() for col in green_column(trunc, lams, k)]
     grid = len(lams) > 1
     lines = [CSV_HEADER,
-             f"# command=green family={fam.label} N={args.N} k={k}"]
-    lines.append(("lambda,index,norm") if grid else "index,norm")
-    for lam, norms in zip(lams, results):
-        for j, v in enumerate(norms, start=1):
-            prefix = f"{_fmt_complex(lam)}," if grid else ""
-            lines.append(f"{prefix}{j},{_fmt(v)}")
+             f"# command=green family={fam.label} N={args.N} k={k}",
+             "lambda,index,norm" if grid else "index,norm"]
+    lines.extend(f"{_fmt_complex(lam) + ',' if grid else ''}{j},{_fmt(v)}"
+                 for lam, norms in zip(lams, results)
+                 for j, v in enumerate(norms, start=1))
     if args.format == "json":
         payload = [{"lambda": [lam.real, lam.imag], "k": k,
                     "norms": [float(v) for v in norms]}

@@ -14,9 +14,11 @@ where bisection took about 44, and comes out as the bisection midpoint bit
 for bit.  Block norms are stacked: spectral_norm maps one matrix to a float
 and a stack (S, m, n) to an (S,) array through one hermitian_eig call on the
 stack, each value bitwise what the per-block Jacobi gives (its arithmetic is
-replayed on the whole stack for n <= 2 and looped for n >= 3).
-The test suite cross-checks these kernels against LAPACK oracles,
-so the library itself avoids np.linalg solvers and eigensolvers.
+replayed on the whole stack for n <= 2 and looped for n >= 3).  The block
+LU is shift-batched: a grid of shifts shares one elimination over (S, d, d)
+stacks and one solve, each shift bitwise what it is alone (a scalar is the
+S = 1 case).  The test suite cross-checks these kernels against LAPACK
+oracles, so the library itself calls no LAPACK solver or eigensolver.
 """
 
 from __future__ import annotations
@@ -79,16 +81,29 @@ class RootConvergenceError(ArithmeticError):
         )
 
 
+def _subnormal_prescale(X, m):
+    """X (S, ...) and its members' largest magnitudes m (S,), each member
+    whose 1 / m overflows (a subnormal m) scaled by the exact power of two
+    2**64 so that X / m stays finite; other members are untouched."""
+    with np.errstate(all="ignore"):
+        tiny = (m > 0.0) & np.isinf(1.0 / m)
+        if tiny.any():
+            up = tiny.reshape((-1,) + (1,) * (X.ndim - 1))
+            X, m = np.where(up, X * 2.0 ** 64, X), np.where(tiny, m * 2.0 ** 64, m)
+    return X, m
+
+
 def vector_norm(x):
     """Euclidean norm with overflow/underflow-safe scaling (entries can be as
-    small as 1e-300 in resolvent tails): a float, or for a 2-d x the (S,)
-    norms of its rows, each bitwise what that row gives alone."""
+    small as 1e-300 in resolvent tails, or subnormal): a float, or for a 2-d
+    x the (S,) norms of its rows, each bitwise what that row gives alone."""
     x = np.asarray(x)
     X = x if x.ndim == 2 else x.reshape(1, -1)
     m = np.abs(X).max(axis=1, initial=0.0)
     ok = (m > 0.0) & np.isfinite(m)
+    Xs, ms = _subnormal_prescale(X, m)
     with np.errstate(invalid="ignore"):
-        y = X / np.where(ok, m, 1.0)[:, None]
+        y = Xs / np.where(ok, ms, 1.0)[:, None]
         norms = np.where(ok, m * np.sqrt((y * y.conj()).real.sum(axis=1)), m)
     return norms if x.ndim == 2 else float(norms[0])
 
@@ -269,15 +284,16 @@ def spectral_norm(A):
 
     One matrix (a 1-d A is one row) gives a float; a stack (S, m, n) gives an
     (S,) array by one stacked hermitian_eig of the Gram matrices, bitwise what
-    each matrix gives alone.  A member whose scaled Gram matrix is not finite
-    (non-finite entries, or 1 / max|A| overflows) gives NaN.
+    each matrix gives alone.  A subnormal member is prescaled by a power of
+    two; a member with non-finite entries gives NaN.
     """
     A = np.asarray(A, dtype=np.complex128)
     single = A.ndim < 3
     A = A[(None,) * (3 - A.ndim)]
     m = np.abs(A).max(axis=(1, 2), initial=0.0)
+    As, ms = _subnormal_prescale(A, m)
     with np.errstate(all="ignore"):
-        B = A / np.where(m > 0.0, m, 1.0)[:, None, None]
+        B = As / np.where(m > 0.0, ms, 1.0)[:, None, None]
         H = B.conj().transpose(0, 2, 1) @ B
         ok = np.isfinite(H).all(axis=(1, 2))
         top = hermitian_eig(np.where(ok[:, None, None], H, 0.0)).values
@@ -307,63 +323,72 @@ def _sigma_min(A) -> float:
 
 
 def psd_matfunc(H, f) -> np.ndarray:
-    """Spectral function f(H) of a Hermitian PSD matrix.
+    """Spectral function f(H) of a Hermitian PSD matrix, or of each member of
+    a stack (S, n, n) through one stacked hermitian_eig call.
 
     Eigenvalues in [-1e-12*||H||, 0) are clamped to 0 (PSD only up to
     roundoff); genuinely negative spectrum is rejected, as is f undefined
-    or non-finite at some eigenvalue.
+    or non-finite at some eigenvalue, for the first bad member.  f is called
+    on one eigenvalue at a time, in order.
     """
     dec = hermitian_eig(H)
-    w = dec.values
-    hnorm = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and w[0] < -1e-12 * max(hnorm, 1e-300):
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    try:
-        fw = np.array([f(x) for x in w], dtype=np.complex128)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"function undefined at an eigenvalue: {exc}") from exc
-    if not np.all(np.isfinite(fw)):
-        raise ValueError("function not finite at some eigenvalue")
-    S = (dec.vectors * fw) @ dec.vectors.conj().T
-    return (S + S.conj().T) / 2.0
+    w = np.atleast_2d(dec.values)
+    negative = w[:, :1].min(axis=1, initial=0.0) < \
+        -1e-12 * np.maximum(np.abs(w).max(axis=1, initial=0.0), 1e-300)
+    fw = np.empty(w.shape, dtype=np.complex128)
+    for i, row in enumerate(np.clip(w, 0.0, None)):
+        if negative[i]:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {w[i, 0]:.3e}")
+        try:
+            fw[i] = [f(x) for x in row]
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"function undefined at an eigenvalue: {exc}") from exc
+        if not np.isfinite(fw[i]).all():
+            raise ValueError("function not finite at some eigenvalue")
+    V = dec.vectors.reshape(w.shape + w.shape[-1:])
+    S = (V * fw[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    return ((S + S.conj().transpose(0, 2, 1)) / 2.0).reshape(dec.vectors.shape)
 
 
 # ---------------------------------------------------------------------------
-# Small dense LU (partial pivoting) for pivot blocks
+# Small dense LU (partial pivoting) for stacks of pivot blocks
 # ---------------------------------------------------------------------------
 
-def _lu_factor_small(M):
-    """Returns (LU, piv) or None if exactly singular."""
-    LU = np.array(M, dtype=np.complex128)
-    n = LU.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        i = k + int(np.argmax(np.abs(LU[k:, k])))
-        if LU[i, k] == 0:
-            return None
-        if i != k:
-            LU[[k, i], :] = LU[[i, k], :]
-            piv[[k, i]] = piv[[i, k]]
-        if k < n - 1:
-            LU[k + 1:, k] /= LU[k, k]
-            LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
-    return LU, piv
+def _lu_factor_stack(D):
+    """Partial-pivoting LU of every member of an (S, n, n) stack: the packed
+    factors, the row orders (S, n) and a per-member exactly-singular flag.
+    Each step is elementwise along the stack, so a member's factor is
+    bitwise what it is alone; a singular member's factor is unusable."""
+    LU = np.array(D, dtype=np.complex128)
+    S, n, _ = LU.shape
+    perm = np.zeros((S, n), dtype=np.intp) + np.arange(n)
+    singular = np.zeros(S, dtype=bool)
+    for k in range(n - 1):
+        i = k + np.argmax(np.abs(LU[:, k:, k]), axis=1)
+        if (i != k).any():
+            m = np.arange(S)
+            for W in (LU, perm):
+                W[m, k], W[m, i] = W[m, i], W[m, k]
+        zero = LU[:, k, k] == 0
+        singular |= zero
+        LU[:, k + 1:, k] /= np.where(zero, 1.0, LU[:, k, k])[:, None]
+        LU[:, k + 1:, k + 1:] -= LU[:, k + 1:, k, None] * LU[:, None, k, k + 1:]
+    return LU, perm, singular | (LU[:, n - 1, n - 1] == 0)
 
 
-def _lu_solve_small(fac, B):
-    LU, piv = fac
-    n = LU.shape[0]
-    X = np.array(B, dtype=np.complex128)
-    if X.ndim == 1:
-        X = X[:, None]
-    X = X[piv, :]
+def _lu_solve_stack(LU, perm, X):
+    """Overwrite X (S, n, m) with LU_s^{-1} X_s, for factors from
+    _lu_factor_stack; only members whose rows were swapped are copied."""
+    n = perm.shape[1]
+    moved = (perm != np.arange(n)).any(axis=1)
+    if moved.any():
+        X[moved] = np.take_along_axis(X[moved], perm[moved][:, :, None], axis=1)
     for k in range(1, n):
-        X[k, :] -= LU[k, :k] @ X[:k, :]
+        X[:, k] -= (LU[:, k, None, :k] @ X[:, :k])[:, 0]
     for k in range(n - 1, -1, -1):
         if k < n - 1:
-            X[k, :] -= LU[k, k + 1:] @ X[k + 1:, :]
-        X[k, :] /= LU[k, k]
+            X[:, k] -= (LU[:, k, None, k + 1:] @ X[:, k + 1:])[:, 0]
+        X[:, k] /= LU[:, k, k, None]
     return X
 
 
@@ -373,43 +398,52 @@ def _lu_solve_small(fac, B):
 
 @dataclass(frozen=True)
 class BlockTridiagLU:
-    """Factorization of (T - shift*I) for Hermitian block tridiagonal T.
+    """Factorization of (T - shift*I) for Hermitian block tridiagonal T, for
+    one shift or a 1-d array of S shifts sharing one elimination.
 
     Forward elimination D_1 = B_1 - shift*I,
     D_k = B_k - shift*I - A_{k-1}^* D_{k-1}^{-1} A_{k-1}.
+    Every array is stacked over the blocks, with a leading shift axis (S,)
+    for an array of shifts; a scalar shift is the S = 1 case without it.
+    pivot_blocks[k] = D_{k+1}, pivot_lu / pivot_perm its packed LU and row
+    order, cond_estimates[k] its condition estimate;
     transform_blocks[k] = D_{k+1}^{-1} A_{k+1} (back substitution),
     forward_blocks[k] = A_{k+1}^* D_{k+1}^{-1} (forward substitution),
     both 0-based over k = 0..N-2.
     """
 
-    shift: complex
+    shift: complex | np.ndarray
     nblocks: int
     dim: int
-    pivot_blocks: tuple
-    pivot_factors: tuple
-    transform_blocks: tuple
-    forward_blocks: tuple
+    pivot_blocks: np.ndarray
+    pivot_lu: np.ndarray
+    pivot_perm: np.ndarray
+    transform_blocks: np.ndarray
+    forward_blocks: np.ndarray
     cond_estimates: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
-        """Solve (T - shift*I) X = rhs for rhs of shape (N*d, m) or (N*d,)."""
+        """Solve (T - shift*I) X = rhs for rhs of shape (N*d, m) or (N*d,),
+        shared by every shift; X has rhs's shape, after a leading (S,) axis
+        for an array of shifts.  After the forward sweep the pivot solves
+        z_k = D_k^{-1} y_k are one stacked call over all N*S blocks, so a
+        back-substitution step is one matmul and one subtraction,
+        x_k = z_k - T_k x_{k+1}."""
         N, d = self.nblocks, self.dim
         R = np.asarray(rhs, dtype=np.complex128)
-        squeeze = R.ndim == 1
-        if squeeze:
-            R = R[:, None]
         if R.shape[0] != N * d:
             raise ValueError(f"rhs has {R.shape[0]} rows, expected {N * d}")
-        y = R.reshape(N, d, -1).copy()
+        S = np.size(self.shift)
+        y = np.broadcast_to(R.reshape(N, d, -1), (S, N, d, R[0].size)).copy()
+        F, T = (a.reshape(S, N - 1, d, d)
+                for a in (self.forward_blocks, self.transform_blocks))
         for k in range(1, N):
-            y[k] -= self.forward_blocks[k - 1] @ y[k - 1]
-        x = np.empty_like(y)
-        x[N - 1] = _lu_solve_small(self.pivot_factors[N - 1], y[N - 1])
+            y[:, k] -= F[:, k - 1] @ y[:, k - 1]
+        _lu_solve_stack(self.pivot_lu.reshape(-1, d, d), self.pivot_perm.reshape(-1, d),
+                        y.reshape(S * N, d, -1))
         for k in range(N - 2, -1, -1):
-            x[k] = _lu_solve_small(self.pivot_factors[k], y[k]) - \
-                self.transform_blocks[k] @ x[k + 1]
-        out = x.reshape(N * d, -1)
-        return out[:, 0] if squeeze else out
+            y[:, k] -= T[:, k] @ y[:, k + 1]
+        return y.reshape(np.shape(self.shift) + R.shape)
 
 
 def _unpack_blocks(trunc):
@@ -437,59 +471,69 @@ def block_scale(diag_blocks, offdiag_blocks) -> float:
 
 def block_tridiag_factor(trunc, shift,
                          check_conditioning: bool = True) -> BlockTridiagLU:
-    """Factor (T - shift*I) by block forward elimination.
+    """Factor (T - shift*I) by block forward elimination, for one shift or a
+    1-d array of shifts.
 
-    With check_conditioning, SingularShiftError names the first pivot block
-    whose condition estimate exceeds COND_LIMIT or is NaN; the estimates are
-    taken for all pivots at once, and an exactly singular pivot stops the
-    elimination early (structure-preserving: no repair is attempted).
-    Without it, singular pivots are nudged by a tiny multiple of the
-    problem scale so that shifts arbitrarily close to eigenvalues remain
-    usable (inverse iteration relies on this).
+    The elimination runs once over (S, d, d) stacks for all S shifts, and
+    each shift's factor is bitwise what it is alone; a scalar shift is the
+    S = 1 case.  With check_conditioning, SingularShiftError is raised for
+    the first failing shift in input order, naming its first pivot block
+    whose condition estimate exceeds COND_LIMIT or is NaN before its first
+    exactly singular pivot, else that singular pivot (structure-preserving:
+    no repair is attempted).  Without it, an exactly singular pivot is
+    nudged by 1e-13 * max(scale, |shift|) so that shifts arbitrarily close
+    to eigenvalues remain usable (inverse iteration relies on this).
     """
     diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
     N, d = diag_blocks.shape[:2]
+    shifts = np.atleast_1d(np.asarray(shift, dtype=np.complex128))
+    if np.ndim(shift) > 1:
+        raise ValueError(f"shifts must be a scalar or 1-d, got shape {np.shape(shift)}")
+    S = shifts.size
     I = np.eye(d, dtype=np.complex128)
-    scale = max(block_scale(diag_blocks, offdiag_blocks), abs(shift))
-    bump = 1e-13 * scale
-    pivots, inverses, factors, transforms, forwards = [], [], [], [], []
-
-    def conds(k: int) -> np.ndarray:
+    sI = shifts[:, None, None] * I
+    scale = np.maximum(block_scale(diag_blocks, offdiag_blocks),
+                       np.hypot(shifts.real, shifts.imag))
+    bump = (1e-13 * scale)[:, None, None] * I
+    Ah = offdiag_blocks.conj().transpose(0, 2, 1)
+    pivots, factors, inverses = (np.empty((S, N, d, d), np.complex128) for _ in range(3))
+    perms = np.empty((S, N, d), dtype=np.intp)
+    transforms = np.empty((S, N - 1, d, d), np.complex128)
+    first_singular = np.full(S, N)
+    D = diag_blocks[0] - sI
+    # a checked factor runs on past a bad pivot before the estimates name it
+    with np.errstate(all="ignore") if check_conditioning else contextlib.nullcontext():
+        for k in range(N):
+            LU, perm, singular = _lu_factor_stack(D)
+            if singular.any() and check_conditioning:
+                first_singular[singular & (first_singular == N)] = k
+            elif singular.any():
+                D = np.where(singular[:, None, None], D + bump, D)
+                LU[singular], perm[singular], still = _lu_factor_stack(D[singular])
+                if still.any():
+                    raise SingularShiftError(k + 1, np.inf)
+            pivots[:, k], factors[:, k], perms[:, k] = D, LU, perm
+            inverses[:, k] = I
+            _lu_solve_stack(LU, perm, inverses[:, k])
+            if k < N - 1:
+                transforms[:, k] = inverses[:, k] @ offdiag_blocks[k]
+                D = (diag_blocks[k + 1] - sI) - Ah[k] @ transforms[:, k]
         # singular shifts surface as pivots tiny against the problem scale,
         # so the estimate is scale-relative (a bare sigma_max/sigma_min is
         # blind to them for well-conditioned small blocks, e.g. any d = 1)
-        cond = np.maximum(spectral_norm(np.reshape(pivots[:k], (k, d, d))), scale) * \
-            spectral_norm(np.reshape(inverses[:k], (k, d, d)))
-        bad = np.flatnonzero(~(cond <= COND_LIMIT))
-        if check_conditioning and bad.size:
-            raise SingularShiftError(int(bad[0]) + 1, float(cond[bad[0]]))
-        return cond
-
-    D = diag_blocks[0] - shift * I
-    # a checked factor runs on past a bad pivot before conds() names it
-    with np.errstate(all="ignore") if check_conditioning else contextlib.nullcontext():
-        for k in range(N):
-            fac = _lu_factor_small(D)
-            if fac is None:
-                if check_conditioning:
-                    conds(k)
-                    raise SingularShiftError(k + 1, np.inf)
-                D = D + bump * I
-                fac = _lu_factor_small(D)
-                if fac is None:
-                    raise SingularShiftError(k + 1, np.inf)
-            Dinv = _lu_solve_small(fac, I)
-            pivots.append(D)
-            inverses.append(Dinv)
-            factors.append(fac)
-            if k < N - 1:
-                A = offdiag_blocks[k]
-                transforms.append(Dinv @ A)
-                forwards.append(A.conj().T @ Dinv)
-                D = diag_blocks[k + 1] - shift * I - A.conj().T @ (Dinv @ A)
-        cond_estimates = conds(N)
-    return BlockTridiagLU(shift, N, d, tuple(pivots), tuple(factors),
-                          tuple(transforms), tuple(forwards), cond_estimates)
+        conds = np.full((S, N), np.nan)
+        for s, stop in enumerate(first_singular):
+            conds[s, :stop] = cond = np.maximum(spectral_norm(pivots[s, :stop]), scale[s]) \
+                * spectral_norm(inverses[s, :stop])
+            bad = np.flatnonzero(~(cond <= COND_LIMIT))
+            if check_conditioning and bad.size:
+                raise SingularShiftError(int(bad[0]) + 1, float(cond[bad[0]]))
+            if stop < N:
+                raise SingularShiftError(int(stop) + 1, np.inf)
+    forwards = Ah @ inverses[:, :-1]
+    lead = slice(None) if np.ndim(shift) else 0
+    return BlockTridiagLU(shifts[lead], N, d, *(a[lead] for a in (
+        pivots, factors, perms, transforms, forwards, conds)))
 
 
 def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
@@ -498,23 +542,16 @@ def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
 
 
 def tridiag_apply(trunc, x) -> np.ndarray:
-    """Matrix-vector product T @ x for the assembled block tridiagonal."""
+    """Matrix-vector product T @ x for the assembled block tridiagonal, one
+    stacked matmul per neighbour: B_k x_k + A_{k-1}^* x_{k-1} + A_k x_{k+1}."""
     diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
     N, d = diag_blocks.shape[:2]
     X = np.asarray(x, dtype=np.complex128)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[:, None]
     Xb = X.reshape(N, d, -1)
-    Y = np.empty_like(Xb)
-    for k in range(N):
-        Y[k] = diag_blocks[k] @ Xb[k]
-        if k > 0:
-            Y[k] += offdiag_blocks[k - 1].conj().T @ Xb[k - 1]
-        if k < N - 1:
-            Y[k] += offdiag_blocks[k] @ Xb[k + 1]
-    out = Y.reshape(N * d, -1)
-    return out[:, 0] if squeeze else out
+    Y = diag_blocks @ Xb
+    Y[1:] += offdiag_blocks.conj().transpose(0, 2, 1) @ Xb[:-1]
+    Y[:-1] += offdiag_blocks @ Xb[1:]
+    return Y.reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -76,20 +76,27 @@ class GreenBlockSet:
         return spectral_norm(self.blocks)
 
 
-def green_column(trunc: Truncation, lam: complex, k: int) -> GreenBlockSet:
+def green_column(trunc: Truncation, lam, k: int) -> GreenBlockSet | list[GreenBlockSet]:
     """All blocks G_{j,k}(lambda) of resolvent column k (1-based).
 
-    lambda must stay resolvent-distant from the truncation spectrum; the
-    pivot conditioning check raises SingularShiftError otherwise.
+    lam is one point (one GreenBlockSet) or a sequence of them (one set per
+    point, in input order).  A grid shares one shift-batched factor and one
+    solve, and one point is its S = 1 case; each set is bitwise what its
+    point gives alone.  Every point must stay resolvent-distant from the
+    truncation spectrum; the pivot conditioning check raises
+    SingularShiftError for the first point in input order that is not.
     """
     N, d = trunc.nblocks, trunc.dim
     if not 1 <= k <= N:
         raise ValueError(f"source index {k} out of range 1..{N}")
+    points = list(lam) if np.ndim(lam) else [lam]
     rhs = np.zeros((N * d, d), dtype=np.complex128)
     rhs[(k - 1) * d: k * d, :] = np.eye(d)
-    blocks = block_tridiag_factor(trunc, lam).solve(rhs).reshape(N, d, d)
+    lu = block_tridiag_factor(trunc, np.array(points, dtype=np.complex128))
+    blocks = lu.solve(rhs).reshape(-1, N, d, d)
     blocks.setflags(write=False)
-    return GreenBlockSet(lam, k, N, blocks)
+    sets = [GreenBlockSet(z, k, N, b) for z, b in zip(points, blocks)]
+    return sets if np.ndim(lam) else sets[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +399,12 @@ def verify_green_decay(family: OperatorFamily, p, N: int, k: int = 1,
     points, single = _grid(p)
     trunc = assemble_truncation(family, N)
     S = scalar_envelope(family, points[0], N).cumulative
+    cols = green_column(trunc, [q.lam for q in points], k)
     reports = [_build_report(
-        "green", family, q, N, k, green_column(trunc, q.lam, k).norms(),
+        "green", family, q, N, k, col.norms(),
         -gamma_rate(q) * np.abs(S - S[k - 1]), calibration, k,
         {"kind": "green-column", **meta})
-        for q, meta in zip(points, _qualified_metas(trunc, points))]
+        for q, col, meta in zip(points, cols, _qualified_metas(trunc, points))]
     return reports[0] if single else reports
 
 
@@ -453,18 +461,14 @@ def verify_commuting_decay(family: OperatorFamily, p, N: int, k: int = 1,
     check_pairwise_commutation(family, N)
     trunc = assemble_truncation(family, N)
     partials = _phi_partial_sums(trunc.offdiag_blocks, family.dim, points[0].delta)
+    j = np.arange(1, N + 1)
+    P = partials[np.maximum(j, k) - 1] - partials[np.minimum(j, k) - 1]
+    cols = green_column(trunc, [q.lam for q in points], k)
     reports = []
-    for q, meta in zip(points, _qualified_metas(trunc, points)):
-        col = green_column(trunc, q.lam, k)
+    for q, col, meta in zip(points, cols, _qualified_metas(trunc, points)):
         gam = gamma_rate(q)
-        weighted = []
-        for j in range(1, N + 1):
-            lo, hi = sorted((j, k))
-            P = partials[hi - 1] - partials[lo - 1]
-            W = psd_matfunc(P, lambda x: math.exp(gam * x))
-            weighted.append(W @ col.blocks[j - 1])
-        measured = spectral_norm(np.array(weighted))
-        reports.append(_build_report("commuting", family, q, N, k, measured,
-                                     np.zeros(N), calibration, k,
-                                     {"kind": "commuting-weighted", **meta}))
+        W = psd_matfunc(P, lambda x: math.exp(gam * x))
+        reports.append(_build_report("commuting", family, q, N, k,
+                                     spectral_norm(W @ col.blocks), np.zeros(N), calibration,
+                                     k, {"kind": "commuting-weighted", **meta}))
     return reports[0] if single else reports

@@ -1,0 +1,131 @@
+"""Per-matrix reference kernels that the stacked library kernels replay.
+
+The per-block LU with partial pivoting, the per-shift block elimination and
+solve built on it, and the per-block tridiagonal product: the library runs
+each of these on whole stacks and must reproduce them bit for bit.  Also a
+block problem with one ill-conditioned pivot, shared by the factor tests.
+"""
+
+import numpy as np
+
+from blockjacobi import dense_linalg as dl
+
+
+def lu_factor_small(M):
+    """Returns (LU, piv) or None if exactly singular."""
+    LU = np.array(M, dtype=np.complex128)
+    n = LU.shape[0]
+    piv = np.arange(n)
+    for k in range(n):
+        i = k + int(np.argmax(np.abs(LU[k:, k])))
+        if LU[i, k] == 0:
+            return None
+        if i != k:
+            LU[[k, i], :] = LU[[i, k], :]
+            piv[[k, i]] = piv[[i, k]]
+        if k < n - 1:
+            LU[k + 1:, k] /= LU[k, k]
+            LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
+    return LU, piv
+
+
+def lu_solve_small(fac, B):
+    LU, piv = fac
+    n = LU.shape[0]
+    X = np.array(B, dtype=np.complex128)
+    if X.ndim == 1:
+        X = X[:, None]
+    X = X[piv, :]
+    for k in range(1, n):
+        X[k, :] -= LU[k, :k] @ X[:k, :]
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            X[k, :] -= LU[k, k + 1:] @ X[k + 1:, :]
+        X[k, :] /= LU[k, k]
+    return X
+
+
+def reference_factor(B, A, shift, check_conditioning=True):
+    """The per-shift block elimination, one pivot block at a time: a dict of
+    stacked pivots, LU factors, row orders, transforms, forwards and
+    condition estimates, laid out as BlockTridiagLU lays out one shift.
+    Raises SingularShiftError as the factor does for this shift alone."""
+    N, d = B.shape[:2]
+    I = np.eye(d, dtype=np.complex128)
+    scale = max(dl.block_scale(B, A), abs(shift))
+    out = {key: [] for key in ("pivots", "lu", "perm", "inverses", "transforms", "forwards")}
+    D = B[0] - shift * I
+    stop = N
+    with np.errstate(all="ignore") if check_conditioning else np.errstate():
+        for k in range(N):
+            fac = lu_factor_small(D)
+            if fac is None:
+                if check_conditioning:
+                    stop = k
+                    break
+                D = D + 1e-13 * scale * I
+                fac = lu_factor_small(D)
+                if fac is None:
+                    raise dl.SingularShiftError(k + 1, np.inf)
+            Dinv = lu_solve_small(fac, I)
+            for key, value in zip(("pivots", "lu", "perm", "inverses"), (D, *fac, Dinv)):
+                out[key].append(value)
+            if k < N - 1:
+                out["transforms"].append(Dinv @ A[k])
+                out["forwards"].append(A[k].conj().T @ Dinv)
+                D = B[k + 1] - shift * I - A[k].conj().T @ (Dinv @ A[k])
+        cond = np.array([max(dl.spectral_norm(P), scale) * dl.spectral_norm(Q)
+                         for P, Q in zip(out["pivots"], out["inverses"])])
+    bad = np.flatnonzero(~(cond <= dl.COND_LIMIT))
+    if check_conditioning and bad.size:
+        raise dl.SingularShiftError(int(bad[0]) + 1, float(cond[bad[0]]))
+    if stop < N:
+        raise dl.SingularShiftError(stop + 1, np.inf)
+    stacked = {key: np.array(value, dtype=np.complex128 if key != "perm" else np.intp)
+               .reshape((-1,) + ((d,) if key == "perm" else (d, d)))
+               for key, value in out.items()}
+    stacked["conds"] = cond
+    return stacked
+
+
+def reference_solve(ref, rhs):
+    """The per-block forward and back substitution against reference_factor."""
+    N, d = ref["pivots"].shape[:2]
+    R = np.asarray(rhs, dtype=np.complex128)
+    y = R.reshape(N, d, -1).copy()
+    for k in range(1, N):
+        y[k] -= ref["forwards"][k - 1] @ y[k - 1]
+    x = np.empty_like(y)
+    facs = list(zip(ref["lu"], ref["perm"]))
+    x[N - 1] = lu_solve_small(facs[N - 1], y[N - 1])
+    for k in range(N - 2, -1, -1):
+        x[k] = lu_solve_small(facs[k], y[k]) - ref["transforms"][k] @ x[k + 1]
+    return x.reshape(R.shape)
+
+
+def reference_apply(B, A, x):
+    """T @ x one block row at a time."""
+    N, d = B.shape[:2]
+    X = np.asarray(x, dtype=np.complex128)
+    Xb = X.reshape(N, d, -1)
+    Y = np.empty_like(Xb)
+    for k in range(N):
+        Y[k] = B[k] @ Xb[k]
+        if k > 0:
+            Y[k] += A[k - 1].conj().T @ Xb[k - 1]
+        if k < N - 1:
+            Y[k] += A[k] @ Xb[k + 1]
+    return Y.reshape(X.shape)
+
+
+def mid_chain_problem():
+    """d = 2, couplings 0.5 I, diagonal pivots; B_3 is chosen so that pivot 3
+    is about diag(1e-13, 1): ill-conditioned, not singular."""
+    N = 6
+    A = np.array([0.5 * np.eye(2)] * (N - 1), dtype=complex)
+    diag = [[3.0, 2.0], [3.0, 3.0], None, [3.0, 5.0], [3.0, 6.0], [3.0, 7.0]]
+    d1 = np.array(diag[0])
+    d2 = np.array(diag[1]) - 0.25 / d1
+    diag[2] = np.array([1e-13, 1.0]) + 0.25 / d2
+    B = np.array([np.diag(v) for v in diag], dtype=complex)
+    return B, A

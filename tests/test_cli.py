@@ -127,6 +127,23 @@ class TestGreen:
         lams = [l.split(",")[0] for l in lines[1:]]
         assert lams == ["-5"] * 5 + ["-4"] * 5 + ["-3"] * 5
 
+    @pytest.mark.parametrize("family", ["scalar-free", "st:s=2,t=2,alpha=0.6"])
+    def test_grid_rows_equal_single_lambda_rows(self, family, tmp_path, capsys):
+        # the grid shares one batched factor; each point's rows are still
+        # byte-equal to the rows of its own single-lambda run
+        argv = ["green", "--family", family, "--N=60", "--k=2"]
+        code, _, _ = run_cli(argv + ["--lambda=-4:-2.5:0.5", "--out",
+                                     str(tmp_path / "grid.csv")], capsys)
+        assert code == 0
+        rows = (tmp_path / "grid.csv").read_text().splitlines()[3:]
+        assert len(rows) == 4 * 60
+        for i, lam in enumerate(["-4", "-3.5", "-3", "-2.5"]):
+            out = tmp_path / f"single{i}.csv"
+            code, _, _ = run_cli(argv + [f"--lambda={lam}", "--out", str(out)], capsys)
+            assert code == 0
+            assert rows[60 * i: 60 * (i + 1)] == \
+                [f"{lam},{row}" for row in out.read_text().splitlines()[3:]]
+
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(
             ["green", "--family", "wat", "--lambda=-3", "--N=10"], capsys)

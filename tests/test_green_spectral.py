@@ -432,7 +432,7 @@ class TestVerifyGrid:
         assert calls["check_pairwise_commutation"] == 1
         assert calls["tridiag_eigs_below"] == 1
         assert calls.get("tridiag_kth_eigenvalue", 0) <= 1
-        assert calls["green_column"] == 3
+        assert calls["green_column"] == 1  # one shift-batched call per grid
 
 
 class TestSturmHelpers:

@@ -1,6 +1,7 @@
 """Stacked block norms against the per-block reference, bit for bit, and the
 SingularShiftError contract of the factor's deferred condition check."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import dense_linalg as dl
+from small_lu import lu_solve_small, mid_chain_problem
 
 
 def reference_spectral_norm(A) -> float:
@@ -33,22 +35,16 @@ def same_bits(a, b) -> bool:
 
 def check_stack(A):
     """Stacked norms equal the per-block reference bitwise, and each member
-    alone (S = 1) gives the same float.  Where the reference fails: a member
-    whose 1 / max|A| overflows gives NaN; otherwise a subnormal off-diagonal
-    Gram entry overflowed the reference's off-diagonal norm to NaN, so it
-    never converged, and there n <= 2 members must match LAPACK instead and
-    n >= 3 stacks must fail the same way."""
+    alone (S = 1) gives the same float.  Where the reference fails (its
+    1 / max|A| overflows for a subnormal member), the power-of-two prescaled
+    kernel must match LAPACK instead, up to a few subnormal ulps."""
     want = []
     for a in A:
         with np.errstate(all="ignore"):
             try:
                 want.append(reference_spectral_norm(a))
             except ArithmeticError:
-                want.append(None if np.isfinite(1.0 / np.abs(a).max()) else np.nan)
-    if A.shape[2] >= 3 and None in want:
-        with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
-            dl.spectral_norm(A)
-        return
+                want.append(None)
     got = dl.spectral_norm(A)
     assert isinstance(got, np.ndarray) and got.shape == (A.shape[0],)
     for a, g, w in zip(A, got, want):
@@ -56,10 +52,8 @@ def check_stack(A):
         assert isinstance(single, float)
         assert same_bits(single, g)
         if w is None:
-            sv = np.linalg.svd(a, compute_uv=False)[0]
-            assert abs(g - sv) <= 1e-13 * sv
-        elif np.isnan(w):
-            assert np.isnan(g)
+            sv = np.linalg.svd(a * 2.0 ** 64, compute_uv=False)[0] / 2.0 ** 64
+            assert abs(g - sv) <= 1e-13 * sv + 2e-323
         else:
             assert same_bits(g, w)
 
@@ -141,22 +135,22 @@ class TestStackedSpectralNorm:
         assert dl.spectral_norm(np.zeros((2, 2))) == 0.0
         assert np.array_equal(dl.spectral_norm(np.zeros((3, 2, 0))), np.zeros(3))
 
-    def test_subnormal_gram_entry_where_reference_fails(self):
-        # A* A has the off-diagonal entry 1e-310: the reference Jacobi raises,
-        # the stacked kernel returns the exact norm
+    def test_subnormal_gram_entry_matches_reference(self):
+        # A* A has the off-diagonal entry 1e-310, whose norm no longer
+        # overflows the Jacobi's stopping test: both kernels give the norm
         A = np.array([[1.0, 1e-310], [0.0, 0.5]])
-        with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
-            reference_spectral_norm(A)
+        assert reference_spectral_norm(A) == 1.0
         assert dl.spectral_norm(A) == 1.0
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_subnormal_largest_entry_gives_nan(self, d):
-        # the reference's 1 / max|A| overflows and its Jacobi raises
+    def test_subnormal_largest_entry_is_prescaled(self, d):
+        # the reference's 1 / max|A| overflows and its Jacobi raises; the
+        # kernel prescales the member by a power of two and is exact here
         A = np.zeros((d, d), complex)
         A[d - 1, d - 1] = 2.22507386e-309j
         with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
             reference_spectral_norm(A)
-        assert np.isnan(dl.spectral_norm(A))
+        assert dl.spectral_norm(A) == 2.22507386e-309
         check_stack(np.array([A, np.eye(d)]))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -167,6 +161,37 @@ class TestStackedSpectralNorm:
             warnings.simplefilter("error")
             got = dl.spectral_norm(A)
         assert got[0] == 1.0 and np.isnan(got[1:]).all()
+
+
+class TestSubnormalScales:
+    """Members whose largest entry is subnormal: 1 / max|x| overflows, so the
+    kernels prescale them by an exact power of two."""
+
+    def test_vector_norm_of_subnormal_complex_vector(self):
+        x = np.array([3e-310, 4e-310], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dl.vector_norm(x)
+        assert abs(got - math.hypot(3e-310, 4e-310)) <= 1e-323
+        assert same_bits(dl.vector_norm(np.array([x, [1.0, 0.0]])),
+                         [got, dl.vector_norm(np.array([1.0, 0.0], dtype=complex))])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_hermitian_eig_with_subnormal_off_diagonal_converges(self, d):
+        H = np.diag(np.arange(d, 0, -1) / d).astype(complex)
+        H[0, 1] = H[1, 0] = 1e-310
+        dec = dl.hermitian_eig(H)
+        assert same_bits(dec.values, np.sort(np.diag(H).real))
+        stacked = dl.hermitian_eig(np.array([H, np.eye(d)]))
+        assert same_bits(stacked.values[0], dec.values)
+        assert same_bits(stacked.vectors[0], dec.vectors)
+
+    def test_spectral_norm_of_subnormal_matrix(self):
+        A = np.array([[3e-310, 1e-310j], [0.0, -2e-310]])
+        sv = np.linalg.svd(A * 2.0 ** 64, compute_uv=False)[0] / 2.0 ** 64
+        got = dl.spectral_norm(A)
+        assert abs(got - sv) <= 1e-13 * sv + 2e-323
+        assert same_bits(dl.spectral_norm(np.array([np.eye(2), A]))[1], got)
 
 
 def hermitian(A):
@@ -229,8 +254,8 @@ def reference_conds(fac, scale):
     elimination loop."""
     I = np.eye(fac.dim, dtype=np.complex128)
     out = []
-    for D, lu in zip(fac.pivot_blocks, fac.pivot_factors):
-        Dinv = dl._lu_solve_small(lu, I)
+    for D, lu, perm in zip(fac.pivot_blocks, fac.pivot_lu, fac.pivot_perm):
+        Dinv = lu_solve_small((lu, perm), I)
         out.append(max(reference_spectral_norm(D), scale) * reference_spectral_norm(Dinv))
     return np.array(out)
 
@@ -265,19 +290,6 @@ class TestConditionEstimates:
         fac = dl.block_tridiag_factor((Bs, As), 1.0, check_conditioning=False)
         assert fac.pivot_blocks[0][0, 0] != 0.0
         assert same_bits(fac.cond_estimates, reference_conds(fac, problem_scale(Bs, As, 1.0)))
-
-
-def mid_chain_problem():
-    """d = 2, couplings 0.5 I, diagonal pivots; B_3 is chosen so that pivot 3
-    is about diag(1e-13, 1): ill-conditioned, not singular."""
-    N = 6
-    A = np.array([0.5 * np.eye(2)] * (N - 1), dtype=complex)
-    diag = [[3.0, 2.0], [3.0, 3.0], None, [3.0, 5.0], [3.0, 6.0], [3.0, 7.0]]
-    d1 = np.array(diag[0])
-    d2 = np.array(diag[1]) - 0.25 / d1
-    diag[2] = np.array([1e-13, 1.0]) + 0.25 / d2
-    B = np.array([np.diag(v) for v in diag], dtype=complex)
-    return B, A
 
 
 class TestDeferredConditionCheck:
