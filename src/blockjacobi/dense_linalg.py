@@ -52,8 +52,10 @@ __all__ = [
 
 # Jacobi rotations stop below JACOBI_OFF_TOL * ||H||_F of off-diagonal mass
 # or fail after JACOBI_MAX_SWEEPS sweeps; a checked factorization refuses a
-# pivot condition estimate above COND_LIMIT; poly_roots runs ROOT_MAX_ITER
+# pivot condition estimate above COND_LIMIT; poly_roots runs ROOT_MAX_ITER;
+# a subnormal scale (below _TINY) is prescaled by the power of two _PRESCALE
 JACOBI_OFF_TOL, JACOBI_MAX_SWEEPS = 1e-14, 100
+_TINY, _PRESCALE = np.finfo(float).tiny, 2.0 ** 64
 COND_LIMIT = 1e12
 ROOT_MAX_ITER = 300
 
@@ -84,12 +86,12 @@ class RootConvergenceError(ArithmeticError):
 def _subnormal_prescale(X, m):
     """X (S, ...) and its members' largest magnitudes m (S,), each member
     whose 1 / m overflows (a subnormal m) scaled by the exact power of two
-    2**64 so that X / m stays finite; other members are untouched."""
+    _PRESCALE so that X / m stays finite; other members are untouched."""
     with np.errstate(all="ignore"):
         tiny = (m > 0.0) & np.isinf(1.0 / m)
         if tiny.any():
             up = tiny.reshape((-1,) + (1,) * (X.ndim - 1))
-            X, m = np.where(up, X * 2.0 ** 64, X), np.where(tiny, m * 2.0 ** 64, m)
+            X, m = np.where(up, X * _PRESCALE, X), np.where(tiny, m * _PRESCALE, m)
     return X, m
 
 
@@ -266,17 +268,18 @@ def _hermitian_eig_stack(A) -> EigDecomposition:
 
 
 def abs_matrix(A) -> np.ndarray:
-    """|A| = (A* A)^(1/2), Hermitian positive semidefinite."""
-    A = _require_square(A)
-    m = float(np.abs(A).max())
-    if m == 0.0:
-        return np.zeros_like(A)
-    B = A / m
-    H = B.conj().T @ B
-    dec = hermitian_eig(H)
-    w = np.sqrt(np.clip(dec.values, 0.0, None)) * m
-    S = (dec.vectors * w) @ dec.vectors.conj().T
-    return (S + S.conj().T) / 2.0
+    """|A| = (A* A)^(1/2), Hermitian PSD; a stack (S, n, n) goes through one
+    stacked hermitian_eig, each member bitwise what it gives alone."""
+    A = np.asarray(A, dtype=np.complex128)
+    if np.ndim(A) != 3:
+        return abs_matrix(_require_square(A)[None])[0]
+    m = np.abs(A).max(axis=(1, 2), initial=0.0)
+    As, ms = _subnormal_prescale(A, m)
+    B = As / np.where(m > 0.0, ms, 1.0)[:, None, None]
+    dec = hermitian_eig(B.conj().transpose(0, 2, 1) @ B)
+    w = np.sqrt(np.clip(dec.values, 0.0, None)) * m[:, None]
+    S = (dec.vectors * w[:, None, :]) @ dec.vectors.conj().transpose(0, 2, 1)
+    return (S + S.conj().transpose(0, 2, 1)) / 2.0
 
 
 def spectral_norm(A):
@@ -311,6 +314,8 @@ def _sigma_min(A) -> float:
     m = float(np.abs(A).max()) if A.size else 0.0
     if m == 0.0 or A.shape[0] == 1:
         return m
+    if m < _TINY:  # 1 / m overflows: the power-of-two prescale, undone exactly
+        return _sigma_min(A * _PRESCALE) / _PRESCALE
     B = A / m
     if B.shape[0] == 2:
         a, b, c, e = B.ravel().tolist()

@@ -12,6 +12,7 @@ JSON files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,15 +71,19 @@ def _check_block(M, d: int, what: str, n: int) -> np.ndarray:
 
 def _require_hermitian(M: np.ndarray, what: str) -> None:
     m = float(np.abs(M).max())
+    if not math.isfinite(m):
+        raise ValueError(f"{what} has non-finite entries")
     if m > 0 and float(np.abs(M - M.conj().T).max()) > HERMITICITY_RTOL * m:
         raise ValueError(f"{what} is not Hermitian")
 
 
 def block_entries(family: OperatorFamily, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A_n, B_n) with shape and hermiticity validation; n is 1-based."""
+    """(A_n, B_n) with shape, finiteness and hermiticity checks; 1-based n."""
     if n < 1:
         raise ValueError(f"block index must be >= 1, got {n}")
     A = _check_block(family.offdiag(n), family.dim, "offdiag", n)
+    if not np.isfinite(A).all():
+        raise ValueError(f"offdiag({n}) has non-finite entries")
     B = _check_block(family.diag(n), family.dim, "diag", n)
     _require_hermitian(B, f"diag({n})")
     return A, B

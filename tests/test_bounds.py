@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import (BoundParams, CommutationError, OperatorFamily, StParams,
-                         check_pairwise_commutation, simplified_regime_params,
-                         diagonal_family, gamma_rate, operator_envelope,
-                         phi_delta, psi, psi_inv, qualified_constant,
-                         scalar_envelope, scalar_free_family, simplified_rate,
-                         spectral_norm, st_family)
+                         block_entries, check_pairwise_commutation,
+                         simplified_regime_params, diagonal_family, gamma_rate,
+                         operator_envelope, parse_family_spec, phi_delta, psi,
+                         psi_inv, qualified_constant, scalar_envelope,
+                         scalar_free_family, simplified_rate, spectral_norm,
+                         st_family, verify_commuting_decay)
+from blockjacobi import bounds
 
 
 class TestBoundParams:
@@ -228,6 +231,97 @@ class TestOperatorEnvelope:
     def test_commuting_family_accepted(self):
         check_pairwise_commutation(diagonal_family([1, 2], [3, 4], 0.5, 0.5), 12)
         check_pairwise_commutation(st_family(StParams(2, 2, 0.6)), 12)
+
+
+def entry_stack(family, N):
+    """A_1, B_1, A_1*, ..., A_N, B_N, A_N* as the commutation check reads
+    them, with their names."""
+    mats = []
+    for n in range(1, N + 1):
+        A, B = block_entries(family, n)
+        mats.extend([A, B, A.conj().T])
+    return np.stack(mats), [(s, n) for n in range(1, N + 1) for s in ("A", "B", "A*")]
+
+
+@st.composite
+def near_commuting_stacks(draw):
+    """Stacks of d x d matrices with a common eigenbasis (identity, real
+    orthogonal or unitary) and eigenvalue patterns from an r-dimensional
+    span, r <= d, so the span is often rank-deficient; some members are zero,
+    and some are perturbed by a relative eps around COMMUTATION_TOL."""
+    d = draw(st.integers(1, 3))
+    complex_entries = draw(st.booleans())
+    r = draw(st.integers(1, d))
+    S = draw(st.integers(1, 24))
+    basis = draw(st.sampled_from(["identity", "rotated"]))
+    eps = draw(st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 3e-11, 5e-11, 8e-11,
+                                1e-10, 1.5e-10, 3e-10, 1e-9, 1e-6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gauss(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if complex_entries else z
+
+    Q = np.eye(d) if basis == "identity" else np.linalg.qr(gauss(d, d))[0]
+    eigs = gauss(S, r) @ gauss(r, d) * 10.0 ** rng.uniform(-3, 3, (S, 1))
+    M = np.einsum("ij,sj,kj->sik", Q, eigs, Q.conj()).astype(complex)
+    M[rng.random(S) < 0.2] = 0.0
+    for i in np.flatnonzero(rng.random(S) < 0.3):
+        Z = gauss(d, d)
+        M[i] += eps * np.linalg.norm(M[i]) * Z / np.linalg.norm(Z)
+    return M
+
+
+class TestCommutationCertificate:
+    @settings(deadline=None, max_examples=300)
+    @given(near_commuting_stacks())
+    def test_certificate_never_passes_what_the_scan_rejects(self, M):
+        if bounds._commutation_certified(M):
+            bounds._commutation_scan(M, [("X", i) for i in range(len(M))])
+
+    @pytest.mark.parametrize("spec", [
+        "diagonal-test:adiag=1;4,bdiag=2;8,aexp=0.6,bexp=0.6",
+        "st:s=2,t=2,alpha=0.6", "scalar-free"])
+    def test_commuting_builtins_decided_without_the_scan(self, spec, monkeypatch):
+        M, names = entry_stack(parse_family_spec(spec), 300)
+        bounds._commutation_scan(M, names)  # the oracle agrees
+
+        def no_scan(M, names):
+            raise AssertionError("the certificate should have decided")
+
+        monkeypatch.setattr(bounds, "_commutation_scan", no_scan)
+        check_pairwise_commutation(parse_family_spec(spec), 300)
+
+    def test_scalar_free_zero_diagonal_gives_no_warning(self):
+        M, _ = entry_stack(scalar_free_family(), 300)  # every B_n = 0
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert bounds._commutation_certified(M)
+            check_pairwise_commutation(scalar_free_family(), 300)
+
+    def test_all_zero_and_extreme_scales(self):
+        assert bounds._commutation_certified(np.zeros((6, 2, 2), complex))
+        # outside [1e-100, 1e100] the certificate leaves the decision to the scan
+        assert not bounds._commutation_certified(1e-150 * np.eye(2)[None].astype(complex))
+        assert not bounds._commutation_certified(1e150 * np.eye(2)[None].astype(complex))
+
+    def test_noncommuting_family_falls_back_to_the_scan(self):
+        M, names = entry_stack(st_family(StParams(1, 4, 0.5)), 40)
+        assert not bounds._commutation_certified(M)
+        with pytest.raises(CommutationError) as want:
+            bounds._commutation_scan(M, names)
+        with pytest.raises(CommutationError) as got:
+            check_pairwise_commutation(st_family(StParams(1, 4, 0.5)), 40)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_entry_rejected(self):
+        base = diagonal_family([1.0, 2.0], [3.0, 4.0])
+        fam = OperatorFamily(2, lambda n: base.offdiag(n) + (
+            np.array([[np.nan, 0.0], [0.0, 0.0]]) if n == 5 else 0.0), base.diag)
+        with pytest.raises(ValueError, match=r"offdiag\(5\) has non-finite entries"):
+            check_pairwise_commutation(fam, 10)
+        with pytest.raises(ValueError, match=r"offdiag\(5\) has non-finite entries"):
+            verify_commuting_decay(fam, BoundParams(lam=-1.0, b=0.0), 40)
 
 
 class TestQualifiedConstant:

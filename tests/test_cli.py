@@ -349,6 +349,24 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["all_pass"] is True
 
+    def test_commuting_mode_rejects_noncommuting_family(self, capsys):
+        code, _, err = run_cli(
+            ["verify", "--family", "st:s=1,t=4,alpha=0.5", "--mode", "commuting",
+             "--lambda=-1", "--b=0", "--N=40"], capsys)
+        assert code == 1
+        assert "do not commute" in err
+
+    def test_non_finite_table_entry_is_input_error(self, tmp_path, capsys):
+        blocks = [{"n": n, "A": [1.0], "B": [0.0]} for n in range(1, 41)]
+        blocks[4]["A"] = [float("nan")]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"dim": 1, "blocks": blocks}))
+        code, _, err = run_cli(
+            ["verify", "--family", str(path), "--mode", "commuting",
+             "--lambda=-3", "--b=-2", "--N=40"], capsys)
+        assert code == 1
+        assert "offdiag(5) has non-finite entries" in err
+
     def test_small_n_rejected(self, capsys):
         code, _, err = run_cli(
             ["verify", "--family", "scalar-free", "--lambda=-3", "--b=-2",

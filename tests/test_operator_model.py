@@ -44,6 +44,20 @@ class TestBlockEntries:
             block_entries(bad, 1)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        base = diagonal_family([1.0, 2.0], [3.0, 4.0])
+
+        def poisoned(rule):
+            return lambda n: rule(n) + (np.diag([0.0, bad]) if n == 5 else 0.0)
+
+        with pytest.raises(ValueError, match=r"^offdiag\(5\) has non-finite entries$"):
+            block_entries(OperatorFamily(2, poisoned(base.offdiag), base.diag), 5)
+        with pytest.raises(ValueError, match=r"^diag\(5\) has non-finite entries$"):
+            block_entries(OperatorFamily(2, base.offdiag, poisoned(base.diag)), 5)
+        block_entries(OperatorFamily(2, poisoned(base.offdiag), base.diag), 4)
+
+
 class TestAssembleTruncation:
     def test_scalar_free_two_blocks(self):
         tr = assemble_truncation(scalar_free_family(), 2)

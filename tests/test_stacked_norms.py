@@ -194,6 +194,79 @@ class TestSubnormalScales:
         assert same_bits(dl.spectral_norm(np.array([np.eye(2), A]))[1], got)
 
 
+    def test_abs_matrix_of_subnormal_matrix(self):
+        A = np.array([[3e-310, 1e-310j], [0.0, -2e-310]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dl.abs_matrix(A)
+        assert np.abs(got - lapack_abs(A)).max() <= 1e-13 * 3e-310 + 4e-323
+        assert same_bits(dl.abs_matrix(np.array([np.eye(2), A]))[1], got)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sigma_min_of_subnormal_matrix(self, d):
+        A = np.zeros((d, d), complex)
+        A[:2, :2] = [[3e-310, 1e-310j], [0.0, -2e-310]]
+        A[2:, 2:] = 4e-310 * np.eye(d - 2)
+        sv = np.linalg.svd(A * 2.0 ** 64, compute_uv=False)[-1] / 2.0 ** 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dl._sigma_min(A)
+        assert abs(got - sv) <= 1e-13 * sv + 2e-323
+
+
+def reference_abs_matrix(A) -> np.ndarray:
+    """The per-matrix abs_matrix body the stacked kernel replaces."""
+    A = np.asarray(A, dtype=np.complex128)
+    m = float(np.abs(A).max())
+    if m == 0.0:
+        return np.zeros_like(A)
+    B = A / m
+    dec = dl.hermitian_eig(B.conj().T @ B)
+    w = np.sqrt(np.clip(dec.values, 0.0, None)) * m
+    S = (dec.vectors * w) @ dec.vectors.conj().T
+    return (S + S.conj().T) / 2.0
+
+
+def lapack_abs(A) -> np.ndarray:
+    """|A| = V diag(sigma) V* from LAPACK's SVD, prescaled by 2^64."""
+    _, s, Vh = np.linalg.svd(A * 2.0 ** 64)
+    return (Vh.conj().T * s) @ Vh / 2.0 ** 64
+
+
+class TestStackedAbsMatrix:
+    def check(self, A):
+        got = dl.abs_matrix(A)
+        assert got.shape == A.shape
+        for a, g in zip(A, got):
+            assert same_bits(dl.abs_matrix(a), g)
+            with np.errstate(all="ignore"):
+                try:
+                    want = reference_abs_matrix(a)
+                except ArithmeticError:  # a subnormal member: 1 / max|A| overflows
+                    want = lapack_abs(a)
+                    assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max() + 4e-323
+                    continue
+            assert same_bits(g, want)
+
+    @settings(deadline=None, max_examples=150)
+    @given(block_stacks())
+    def test_stack_equals_per_block(self, A):
+        self.check(A)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_stacks_equal_per_block(self, d):
+        rng = np.random.default_rng(80 + d)
+        A = rng.standard_normal((120, d, d)) + 1j * rng.standard_normal((120, d, d))
+        A[1::3] = A[1::3].real
+        A[::11] = 0.0
+        self.check(A)
+
+    def test_empty_stack_and_rejects_non_square(self):
+        assert dl.abs_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+        with pytest.raises(ValueError):
+            dl.abs_matrix(np.zeros((2, 3)))
+
+
 def hermitian(A):
     return A + A.conj().transpose(0, 2, 1)
 
