@@ -232,7 +232,11 @@ def _commutation_certified(M) -> bool:
 
 def _commutation_scan(M, names) -> None:
     """The exact pairwise scan: raises CommutationError for the first pair
-    whose relative commutator norm exceeds COMMUTATION_TOL."""
+    whose relative commutator norm exceeds COMMUTATION_TOL.  The stack is
+    first divided by a power of two near its largest Frobenius norm (exact
+    in the normal range), so that no squared norm overflows or underflows."""
+    _, e = np.frexp(vector_norm(M.reshape(len(M), -1)).max(initial=0.0))
+    M = np.ldexp(M.real, -e) + 1j * np.ldexp(M.imag, -e)
     fro = np.sqrt((np.abs(M) ** 2).sum(axis=(1, 2)))
     floor = max(fro.max() ** 2, 1e-300)
     chunk = 128

@@ -11,14 +11,15 @@ block LDL* sweep.  Each multisection sweep spreads 128 shifts over the open
 eigenvalue brackets as levels of halving (127 shifts, 7 levels for a lone
 bracket), so one eigenvalue at the default tolerance takes about 7 sweeps
 where bisection took about 44, and comes out as the bisection midpoint bit
-for bit.  Block norms are stacked: spectral_norm maps one matrix to a float
-and a stack (S, m, n) to an (S,) array through one hermitian_eig call on the
-stack, each value bitwise what the per-block Jacobi gives (its arithmetic is
-replayed on the whole stack for n <= 2 and looped for n >= 3).  The block
-LU is shift-batched: a grid of shifts shares one elimination over (S, d, d)
-stacks and one solve, each shift bitwise what it is alone (a scalar is the
-S = 1 case).  The test suite cross-checks these kernels against LAPACK
-oracles, so the library itself calls no LAPACK solver or eigensolver.
+for bit.  The cyclic Jacobi runs on whole stacks (S, n, n) for every n,
+one matrix being the S = 1 case, so each member is bitwise what it gives
+alone.  Block norms are stacked on it: spectral_norm maps one matrix to a
+float and a stack (S, m, n) to an (S,) array through one hermitian_eig
+call.  The block LU is shift-batched: a grid of shifts shares one
+elimination over (S, d, d) stacks and one solve, each shift bitwise what it
+is alone (a scalar is the S = 1 case).  The test suite cross-checks these
+kernels against LAPACK oracles, so the library itself calls no LAPACK
+solver or eigensolver.
 """
 
 from __future__ import annotations
@@ -134,136 +135,81 @@ def hermitian_eig(H) -> EigDecomposition:
 
     Sweeps run in fixed (p, q) lexicographic order until the off-diagonal
     Frobenius mass drops below JACOBI_OFF_TOL * ||H||_F, so results are
-    deterministic across runs.  Rejects non-Hermitian input (1e-10 relative).
+    deterministic across runs.  Rejects non-Hermitian input (1e-10 relative)
+    and raises ArithmeticError at once for non-finite input.
 
-    A stack (S, n, n) gives values (S, n) and vectors (S, n, n), each member
-    bitwise what it gives alone wherever its sweeps converge: the arithmetic
-    is replayed on the whole stack for n <= 2 and looped for n >= 3.
+    A stack (S, n, n) gives values (S, n) and vectors (S, n, n) from one
+    stacked Jacobi; one matrix is the S = 1 case, so every member is bitwise
+    what it gives alone.
     """
     if np.ndim(H) == 3:
-        return _hermitian_eig_stack(np.asarray(H, dtype=np.complex128))
-    A = _require_square(H)
-    n = A.shape[0]
-    if n == 0:
-        return EigDecomposition(np.zeros(0), np.zeros((0, 0), np.complex128))
-    amax = float(np.abs(A).max())
-    if amax > 0 and float(np.abs(A - A.conj().T).max()) > 1e-10 * amax:
-        raise ValueError("matrix is not Hermitian (relative deviation > 1e-10)")
-    V = np.eye(n, dtype=np.complex128)
-    if amax == 0.0:
-        return EigDecomposition(np.zeros(n), V)
-
-    W = (A + A.conj().T) / (2.0 * amax)
-    fro = vector_norm(W.ravel())
-    target = JACOBI_OFF_TOL * fro
-    skip = target / (4.0 * n)
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = vector_norm((W - np.diag(np.diag(W))).ravel())
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = W[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                app = W[p, p].real
-                aqq = W[q, q].real
-                ph = apq / r
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary G = [[c, s*ph], [-s*conj(ph), c]] on coordinates (p, q)
-                colp = W[:, p].copy()
-                colq = W[:, q].copy()
-                W[:, p] = c * colp - s * np.conj(ph) * colq
-                W[:, q] = s * ph * colp + c * colq
-                rowp = W[p, :].copy()
-                rowq = W[q, :].copy()
-                W[p, :] = c * rowp - s * ph * rowq
-                W[q, :] = s * np.conj(ph) * rowp + c * rowq
-                W[p, q] = 0.0
-                W[q, p] = 0.0
-                W[p, p] = W[p, p].real
-                W[q, q] = W[q, q].real
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * np.conj(ph) * vq
-                V[:, q] = s * ph * vp + c * vq
-    else:
-        raise ArithmeticError("Jacobi eigensolver did not converge")
-
-    w = np.real(np.diag(W)) * amax
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    # fix a deterministic phase: largest-magnitude component real positive
-    for i in range(n):
-        j = int(np.argmax(np.abs(V[:, i])))
-        piv = V[j, i]
-        if piv != 0:
-            V[:, i] *= np.conj(piv) / abs(piv)
-    return EigDecomposition(w, V)
+        return _jacobi(np.asarray(H, dtype=np.complex128))
+    dec = _jacobi(_require_square(H)[None])
+    return EigDecomposition(dec.values[0], dec.vectors[0])
 
 
-def _hermitian_eig_stack(A) -> EigDecomposition:
+def _jacobi(A) -> EigDecomposition:
+    """The cyclic Jacobi of hermitian_eig on every member of an (S, n, n)
+    stack, each member rotating until its own off-diagonal mass is below
+    target, in complex array operations only.  abs() of one complex a_pq or
+    phase pivot is hypot(Re, Im); np.abs on an array (a SIMD loop) differs
+    from it by one ulp on many entries, so it only reduces whole arrays."""
     S, n, n2 = A.shape
     if n != n2:
         raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
-    if n > 2:
-        decs = [hermitian_eig(G) for G in A]
-        return EigDecomposition(np.reshape([e.values for e in decs], (S, n)),
-                                np.reshape([e.vectors for e in decs], (S, n, n)))
+    if n == 0:
+        return EigDecomposition(np.zeros((S, 0)), np.zeros((S, 0, 0), np.complex128))
     amax = np.abs(A).max(axis=(1, 2), initial=0.0)
     if not np.isfinite(amax).all():
         raise ArithmeticError("Jacobi eigensolver did not converge")
     AH = A.conj().transpose(0, 2, 1)
     if (np.abs(A - AH).max(axis=(1, 2), initial=0.0) > 1e-10 * amax).any():
         raise ValueError("matrix is not Hermitian (relative deviation > 1e-10)")
-    W = (A + AH) / np.where(amax > 0.0, 2.0 * amax, 1.0)[:, None, None]
-    w = np.diagonal(W, axis1=1, axis2=2).real
-    V = np.tile(np.eye(n, dtype=np.complex128), (S, 1, 1))
-    if n == 2:
-        # one rotation zeroes a 2x2 W's off-diagonal entries exactly, so the
-        # next sweep's check always stops it
-        target = JACOBI_OFF_TOL * vector_norm(W.reshape(S, 4))
-        off = vector_norm((W - w[:, :, None] * np.eye(2)).reshape(S, 4))
-        # the loop's abs() of the complex *scalar* a_pq is hypot(Re, Im); np.abs
-        # on an array (a SIMD loop) differs from it by one ulp on many complex
-        # entries, so only array-level reductions stay np.abs
-        apq = W[:, 0, 1]
-        r = np.hypot(apq.real, apq.imag)
-        rot = (off > target) & (r > target / 8.0)
-        r = np.where(rot, r, 1.0)
-        ph = apq / r
-        tau = (w[:, 1] - w[:, 0]) / (2.0 * r)
-        t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        sp, sq = s * ph, s * np.conj(ph)
-        # W G, then G^* (W G), with G = [[c, s ph], [-s conj(ph), c]]
-        (a, b), (e, f) = W[:, 0].T, W[:, 1].T
-        p0, p1 = c * a - sq * b, c * e - sq * f
-        q0, q1 = sp * a + c * b, sp * e + c * f
-        turned = np.stack([(c * p0 - sp * p1).real, (sq * q0 + c * q1).real], axis=1)
-        w = np.where(rot[:, None], turned, w)
-        c, sp, sq, I = c[:, None], sp[:, None], sq[:, None], np.eye(2, dtype=np.complex128)
-        G = np.stack([c * I[:, 0] - sq * I[:, 1], sp * I[:, 0] + c * I[:, 1]], axis=2)
-        V = np.where(rot[:, None, None], G, V)
-    w = np.where(amax[:, None] > 0.0, w * amax[:, None], 0.0)
+    # W over V: a rotation's column update is the same on both
+    X = np.concatenate([(A + AH) / np.where(amax > 0.0, 2.0 * amax, 1.0)[:, None, None],
+                        np.broadcast_to(np.eye(n, dtype=np.complex128), (S, n, n))], axis=1)
+    target = JACOBI_OFF_TOL * vector_norm(X[:, :n].reshape(S, n * n))
+    skip = target / (4.0 * n)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = vector_norm(np.where(np.eye(n, dtype=bool), 0.0, X[:, :n]).reshape(S, n * n))
+        active = ~(off <= target)
+        if not active.any():
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = X[:, p, q]
+                r = np.hypot(apq.real, apq.imag)
+                rot = active & (r > skip)
+                if not rot.any():
+                    continue
+                Y, r = X[rot], r[rot]
+                ph = apq[rot] / r
+                tau = (Y[:, q, q].real - Y[:, p, p].real) / (2.0 * r)
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                c, sp, sq = c[:, None], (s * ph)[:, None], (s * np.conj(ph))[:, None]
+                # G = [[c, s ph], [-s conj(ph), c]] on (p, q): W G and V G, then G^* W G
+                colp, colq = Y[:, :, p].copy(), Y[:, :, q].copy()
+                Y[:, :, p] = c * colp - sq * colq
+                Y[:, :, q] = sp * colp + c * colq
+                rowp, rowq = Y[:, p].copy(), Y[:, q].copy()
+                Y[:, p] = c * rowp - sp * rowq
+                Y[:, q] = sq * rowp + c * rowq
+                Y[:, p, q] = Y[:, q, p] = 0.0
+                Y[:, p, p], Y[:, q, q] = Y[:, p, p].real, Y[:, q, q].real
+                X[rot] = Y
+    else:
+        raise ArithmeticError("Jacobi eigensolver did not converge")
+    w = np.diagonal(X, axis1=1, axis2=2).real * amax[:, None]
+    w = np.where(amax[:, None] > 0.0, w, 0.0)
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :], axis=2)
-    for i in range(n):  # the deterministic phase, as for one matrix
-        col = V[:, :, i]
-        piv = col[np.arange(S), np.argmax(np.abs(col), axis=1)]
-        mag = np.where(piv != 0, np.hypot(piv.real, piv.imag), 1.0)
-        V[:, :, i] = np.where((piv != 0)[:, None], col * (np.conj(piv) / mag)[:, None], col)
+    V = np.take_along_axis(X[:, n:], order[:, None, :], axis=2)
+    # a deterministic phase: each vector's largest component real positive
+    piv = np.take_along_axis(V, np.argmax(np.abs(V), axis=1)[:, None], axis=1)
+    mag = np.where(piv != 0, np.hypot(piv.real, piv.imag), 1.0)
+    V = np.where(piv != 0, V * (np.conj(piv) / mag), V)
     return EigDecomposition(w, V)
 
 
@@ -585,16 +531,6 @@ def _herm2_mid_rad(a, c, zz):
     return 0.5 * (a + c), np.sqrt(h * h + zz)
 
 
-def _herm_eigvals_small(D) -> np.ndarray:
-    d = D.shape[0]
-    if d == 1:
-        return np.array([D[0, 0].real])
-    if d == 2:
-        mid, rad = _herm2_mid_rad(D[0, 0].real, D[1, 1].real, abs(D[0, 1]) ** 2)
-        return np.array([mid - rad, mid + rad])
-    return hermitian_eig(D).values
-
-
 def _count_d1(B, A, x, bump):
     b = B[:, 0, 0].real
     g = abs(A[:, 0, 0]) ** 2
@@ -842,9 +778,18 @@ def _gershgorin_bounds(B, A):
     r = np.zeros(B.shape[0])
     r[1:] += norms
     r[:-1] += norms
-    ev = [_herm_eigvals_small(Bk) for Bk in B]
-    return (float(min(e[0] - rk for e, rk in zip(ev, r))),
-            float(max(e[-1] + rk for e, rk in zip(ev, r))))
+    d = B.shape[1]
+    if d == 1:
+        lo = hi = B[:, 0, 0].real
+    elif d == 2:
+        z = B[:, 0, 1]  # hypot: np.abs on an array is one ulp off it on many entries
+        mid, rad = _herm2_mid_rad(B[:, 0, 0].real, B[:, 1, 1].real,
+                                  np.hypot(z.real, z.imag) ** 2)
+        lo, hi = mid - rad, mid + rad
+    else:
+        ev = hermitian_eig(B).values
+        lo, hi = ev[:, 0], ev[:, -1]
+    return float((lo - r).min()), float((hi + r).max())
 
 
 def _halvings(brackets, depth: int) -> np.ndarray:

@@ -1,14 +1,90 @@
 """Per-matrix reference kernels that the stacked library kernels replay.
 
-The per-block LU with partial pivoting, the per-shift block elimination and
-solve built on it, and the per-block tridiagonal product: the library runs
-each of these on whole stacks and must reproduce them bit for bit.  Also a
-block problem with one ill-conditioned pivot, shared by the factor tests.
+The per-matrix cyclic Jacobi eigensolver, the per-block LU with partial
+pivoting, the per-shift block elimination and solve built on it, and the
+per-block tridiagonal product: the library runs each of these on whole
+stacks and must reproduce them bit for bit.  Also a block problem with one
+ill-conditioned pivot, shared by the factor tests.
 """
 
 import numpy as np
 
 from blockjacobi import dense_linalg as dl
+
+
+def reference_hermitian_eig(H) -> dl.EigDecomposition:
+    """The per-matrix cyclic Jacobi that hermitian_eig replays on stacks:
+    numpy scalar arithmetic on one matrix at a time, with the library's
+    tolerances (read at call time)."""
+    A = np.array(H, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    if n == 0:
+        return dl.EigDecomposition(np.zeros(0), np.zeros((0, 0), np.complex128))
+    amax = float(np.abs(A).max())
+    if amax > 0 and float(np.abs(A - A.conj().T).max()) > 1e-10 * amax:
+        raise ValueError("matrix is not Hermitian (relative deviation > 1e-10)")
+    V = np.eye(n, dtype=np.complex128)
+    if amax == 0.0:
+        return dl.EigDecomposition(np.zeros(n), V)
+
+    W = (A + A.conj().T) / (2.0 * amax)
+    fro = dl.vector_norm(W.ravel())
+    target = dl.JACOBI_OFF_TOL * fro
+    skip = target / (4.0 * n)
+
+    for _ in range(dl.JACOBI_MAX_SWEEPS):
+        off = dl.vector_norm((W - np.diag(np.diag(W))).ravel())
+        if off <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = W[p, q]
+                r = abs(apq)
+                if r <= skip:
+                    continue
+                app = W[p, p].real
+                aqq = W[q, q].real
+                ph = apq / r
+                tau = (aqq - app) / (2.0 * r)
+                if tau >= 0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # unitary G = [[c, s*ph], [-s*conj(ph), c]] on coordinates (p, q)
+                colp = W[:, p].copy()
+                colq = W[:, q].copy()
+                W[:, p] = c * colp - s * np.conj(ph) * colq
+                W[:, q] = s * ph * colp + c * colq
+                rowp = W[p, :].copy()
+                rowq = W[q, :].copy()
+                W[p, :] = c * rowp - s * ph * rowq
+                W[q, :] = s * np.conj(ph) * rowp + c * rowq
+                W[p, q] = 0.0
+                W[q, p] = 0.0
+                W[p, p] = W[p, p].real
+                W[q, q] = W[q, q].real
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * np.conj(ph) * vq
+                V[:, q] = s * ph * vp + c * vq
+    else:
+        raise ArithmeticError("Jacobi eigensolver did not converge")
+
+    w = np.real(np.diag(W)) * amax
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+    # fix a deterministic phase: largest-magnitude component real positive
+    for i in range(n):
+        j = int(np.argmax(np.abs(V[:, i])))
+        piv = V[j, i]
+        if piv != 0:
+            V[:, i] *= np.conj(piv) / abs(piv)
+    return dl.EigDecomposition(w, V)
 
 
 def lu_factor_small(M):

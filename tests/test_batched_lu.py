@@ -1,7 +1,8 @@
 """The shift-batched block LU against the per-shift elimination, bit for
 bit: every member of a grid factor is what its shift gives alone, a scalar
 shift is the one-member grid, and both equal the per-block reference
-kernels in small_lu.  Also the stacked tridiagonal product and psd_matfunc."""
+kernels in reference_kernels.  Also the stacked tridiagonal product and
+psd_matfunc."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from blockjacobi import assemble_truncation, green_column, parse_family_spec
 from blockjacobi import dense_linalg as dl
-from small_lu import mid_chain_problem, reference_apply, reference_factor, reference_solve
+from reference_kernels import mid_chain_problem, reference_apply, reference_factor, reference_solve
 
 FIELDS = ("pivot_blocks", "pivot_lu", "pivot_perm", "transform_blocks",
           "forward_blocks", "cond_estimates")

@@ -314,6 +314,22 @@ class TestCommutationCertificate:
             check_pairwise_commutation(st_family(StParams(1, 4, 0.5)), 40)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_scan_rejects_noncommuting_family_at_extreme_scales(self, scale):
+        # unscaled, the squared norms would overflow to inf (1e160) or
+        # underflow to 0 (1e-160) and every pair would pass
+        fam = parse_family_spec("st:s=1,t=4,alpha=0.5")
+        scaled = OperatorFamily(2, lambda n: scale * fam.offdiag(n),
+                                lambda n: scale * fam.diag(n))
+        with pytest.raises(CommutationError) as want:
+            check_pairwise_commutation(fam, 10)
+        with pytest.raises(CommutationError) as got:
+            check_pairwise_commutation(scaled, 10)
+        assert (got.value.first, got.value.second) == (want.value.first, want.value.second)
+        assert str(got.value) == str(want.value)
+        assert str(want.value) == ("entries A_1 and B_1 do not commute: "
+                                   "relative commutator norm 7.276e-01 > 1e-10")
+
     def test_non_finite_entry_rejected(self):
         base = diagonal_family([1.0, 2.0], [3.0, 4.0])
         fam = OperatorFamily(2, lambda n: base.offdiag(n) + (

@@ -1,5 +1,6 @@
-"""Stacked block norms against the per-block reference, bit for bit, and the
-SingularShiftError contract of the factor's deferred condition check."""
+"""The stacked Jacobi and the block norms built on it against the per-matrix
+reference, bit for bit, and the SingularShiftError contract of the factor's
+deferred condition check."""
 
 import math
 import warnings
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import dense_linalg as dl
-from small_lu import lu_solve_small, mid_chain_problem
+from reference_kernels import lu_solve_small, mid_chain_problem, reference_hermitian_eig
 
 
 def reference_spectral_norm(A) -> float:
     """The per-block spectral_norm body the stacked kernel replaces: the full
-    cyclic Jacobi of hermitian_eig on A* A / max|A|^2, one matrix at a time."""
+    per-matrix cyclic Jacobi on A* A / max|A|^2, one matrix at a time."""
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim == 1:
         A = A[None, :]
@@ -24,7 +25,7 @@ def reference_spectral_norm(A) -> float:
         return 0.0
     B = A / m
     H = B.conj().T @ B
-    dec = dl.hermitian_eig(H)
+    dec = reference_hermitian_eig(H)
     return m * float(np.sqrt(max(dec.values[-1], 0.0)))
 
 
@@ -59,11 +60,13 @@ def check_stack(A):
 
 
 def check_eig_stack(H):
-    """The stacked hermitian_eig equals the per-matrix call bitwise, values
-    and vectors, for every member whose own sweeps converge."""
+    """The stacked hermitian_eig equals the per-matrix reference Jacobi
+    bitwise, values and vectors, and so does each member alone."""
     dec = dl.hermitian_eig(H)
     assert dec.values.shape == H.shape[:2] and dec.vectors.shape == H.shape
     for h, w, V in zip(H, dec.values, dec.vectors):
+        ref = reference_hermitian_eig(h)
+        assert same_bits(ref.values, w) and same_bits(ref.vectors, V)
         one = dl.hermitian_eig(h)
         assert same_bits(one.values, w) and same_bits(one.vectors, V)
 
@@ -76,7 +79,7 @@ _entry = st.builds(lambda re, im, e: complex(re, im) * 10.0 ** e,
 
 @st.composite
 def block_stacks(draw):
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
     S = draw(st.integers(1, 6))
     blocks = []
     for _ in range(S):
@@ -182,9 +185,7 @@ class TestSubnormalScales:
         H[0, 1] = H[1, 0] = 1e-310
         dec = dl.hermitian_eig(H)
         assert same_bits(dec.values, np.sort(np.diag(H).real))
-        stacked = dl.hermitian_eig(np.array([H, np.eye(d)]))
-        assert same_bits(stacked.values[0], dec.values)
-        assert same_bits(stacked.vectors[0], dec.vectors)
+        check_eig_stack(np.array([H, np.eye(d)]))
 
     def test_spectral_norm_of_subnormal_matrix(self):
         A = np.array([[3e-310, 1e-310j], [0.0, -2e-310]])
@@ -221,7 +222,7 @@ def reference_abs_matrix(A) -> np.ndarray:
     if m == 0.0:
         return np.zeros_like(A)
     B = A / m
-    dec = dl.hermitian_eig(B.conj().T @ B)
+    dec = reference_hermitian_eig(B.conj().T @ B)
     w = np.sqrt(np.clip(dec.values, 0.0, None)) * m
     S = (dec.vectors * w) @ dec.vectors.conj().T
     return (S + S.conj().T) / 2.0
@@ -279,12 +280,12 @@ class TestStackedHermitianEig:
         try:
             with np.errstate(all="ignore"):
                 for h in H:
-                    dl.hermitian_eig(h)
+                    reference_hermitian_eig(h)
         except ArithmeticError:
             return  # a member that never converges alone has nothing to match
         check_eig_stack(H)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_random_gram_stacks(self, d):
         rng = np.random.default_rng(60 + d)
         A = rng.standard_normal((300, d, d)) + 1j * rng.standard_normal((300, d, d))
@@ -302,6 +303,49 @@ class TestStackedHermitianEig:
         with pytest.raises(ArithmeticError):
             dl.hermitian_eig(np.array([np.eye(2), np.diag([np.inf, 1.0])]))
         assert dl.hermitian_eig(np.zeros((0, 2, 2))).values.shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)])
+    def test_non_finite_matrix_raises_before_any_sweep(self, bad, monkeypatch):
+        def no_sweep(x):
+            raise AssertionError("no sweep should run on a non-finite matrix")
+
+        monkeypatch.setattr(dl, "vector_norm", no_sweep)
+        H = np.eye(3, dtype=complex)
+        H[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in (H, np.array([np.eye(3), H])):
+                with pytest.raises(ArithmeticError, match="^Jacobi eigensolver did not converge$"):
+                    dl.hermitian_eig(M)
+
+    def test_members_converging_after_different_sweeps(self, monkeypatch):
+        # each member stops rotating on its own sweep count while the others
+        # go on, and the stack raises once any member runs out of sweeps
+        rng = np.random.default_rng(12)
+        one_pair = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        one_pair[0, 2], one_pair[2, 0] = 0.5j, -0.5j
+        dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        H = np.array([np.zeros((4, 4)), np.diag([4.0, 1.0, 3.0, 2.0]), one_pair,
+                      dense + dense.conj().T], dtype=complex)
+
+        def sweeps_needed(h):
+            for k in range(1, 20):
+                monkeypatch.setattr(dl, "JACOBI_MAX_SWEEPS", k)
+                try:
+                    reference_hermitian_eig(h)
+                    return k
+                except ArithmeticError:
+                    pass
+
+        need = [sweeps_needed(h) for h in H[1:]]
+        assert need[0] < need[1] < need[2]
+        for k in range(1, need[-1] + 1):
+            monkeypatch.setattr(dl, "JACOBI_MAX_SWEEPS", k)
+            done = [0] + [i + 1 for i, n in enumerate(need) if n <= k]
+            check_eig_stack(H[done])
+            if len(done) < len(H):
+                with pytest.raises(ArithmeticError, match="did not converge"):
+                    dl.hermitian_eig(H)
 
 
 class TestStackedVectorNorm:
