@@ -40,7 +40,7 @@ __all__ = [
 class BoundParams:
     """(lambda, b, delta, eps) bundle; every envelope formula reads these.
 
-    Requires Re(lam) < b, delta > 0 and eps in (0, 1).
+    Requires a finite b, Re(lam) < b, delta > 0 and eps in (0, 1).
     """
 
     lam: complex
@@ -49,6 +49,8 @@ class BoundParams:
     eps: float = 0.1
 
     def __post_init__(self):
+        if not math.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
         if not (self.lam.real < self.b):
             raise ValueError(
                 f"Re(lambda) = {self.lam.real} must be below b = {self.b}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -396,6 +396,11 @@ class BlockTridiagLU:
             y[:, k] -= T[:, k] @ y[:, k + 1]
         return y.reshape(np.shape(self.shift) + R.shape)
 
+    def member(self, s: int) -> "BlockTridiagLU":
+        """The factor of shift s of an array of shifts, as a one-shift factor."""
+        return BlockTridiagLU(self.shift[s], self.nblocks, self.dim, *(
+            getattr(self, f.name)[s] for f in fields(self)[3:]))
+
 
 def _unpack_blocks(trunc):
     """Diagonal and off-diagonal blocks as (N, d, d) and (N-1, d, d) complex
@@ -481,10 +486,9 @@ def block_tridiag_factor(trunc, shift,
                 raise SingularShiftError(int(bad[0]) + 1, float(cond[bad[0]]))
             if stop < N:
                 raise SingularShiftError(int(stop) + 1, np.inf)
-    forwards = Ah @ inverses[:, :-1]
-    lead = slice(None) if np.ndim(shift) else 0
-    return BlockTridiagLU(shifts[lead], N, d, *(a[lead] for a in (
-        pivots, factors, perms, transforms, forwards, conds)))
+    lu = BlockTridiagLU(shifts, N, d, pivots, factors, perms, transforms,
+                        Ah @ inverses[:, :-1], conds)
+    return lu if np.ndim(shift) else lu.member(0)
 
 
 def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
@@ -804,7 +808,7 @@ def _halvings(brackets, depth: int) -> np.ndarray:
     return edges
 
 
-def _multisection(blocks, ks, tol):
+def _multisection(blocks, ks, tol, edge=None):
     """Eigenvalues k in ks (1-based) as midpoints of brackets no wider than
     tol (default 1e-13 * max(1, |lo|, |hi|) over the Gershgorin bracket).
 
@@ -814,21 +818,34 @@ def _multisection(blocks, ks, tol):
     the cut points in one call.  Each index then descends the levels exactly
     as bisection would, stopping once its bracket is no wider than tol, so
     the result is the bisection midpoint bit for bit, in fewer sweeps.
+
+    With an edge b, ks is a function of the number of eigenvalues below b:
+    the first sweep's shifts do not depend on the indices, so b rides in
+    its last slot (a shift counts the same alone or in any batch) and its
+    count fixes them.  Returns (count, eigenvalues), count None without an
+    edge.
     """
     lo, hi = _gershgorin_bounds(*blocks)
     if tol is None:
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    brackets = [(lo - tol, hi + tol)] * len(ks)
+    start = (lo - tol, hi + tol)
+    brackets = [start] * (len(ks) if edge is None else 1)
+    count, extra = None, [] if edge is None else [edge]
     while True:
         open_ = sorted({br for br in brackets if br[1] - br[0] > tol})
         if not open_:
-            return np.array([0.5 * (l + h) for l, h in brackets])
+            return count, np.array([0.5 * (l + h) for l, h in brackets])
         # 2**depth - 1 shifts per open bracket, at least one level
         depth = max(1, (_SHIFTS_PER_SWEEP // len(open_) + 1).bit_length() - 1)
         edges = _halvings(open_, depth)
-        counts = tridiag_count_below(blocks, edges[:, 1:-1].ravel())
+        cuts = edges[:, 1:-1].ravel()
+        counts = tridiag_count_below(blocks, np.append(cuts, extra))
+        if extra:
+            count, extra = int(counts[-1]), []
+            ks = ks(count)
+            brackets = [start] * len(ks)
         row = {br: (e, c) for br, e, c in zip(
-            open_, edges.tolist(), counts.reshape(len(open_), -1).tolist())}
+            open_, edges.tolist(), counts[:cuts.size].reshape(len(open_), -1).tolist())}
         for i, (k, br) in enumerate(zip(ks, brackets)):
             if br not in row:
                 continue
@@ -849,41 +866,49 @@ def tridiag_kth_eigenvalue(trunc, k: int, tol: float | None = None) -> float:
     n = B.shape[0] * B.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"eigenvalue index {k} out of range 1..{n}")
-    return float(_multisection((B, A), [k], tol)[0])
+    return float(_multisection((B, A), [k], tol)[1][0])
 
 
-def tridiag_eigs_below(trunc, b: float, tol: float | None = None) -> np.ndarray:
-    """All eigenvalues of T strictly below b, ascending."""
-    blocks = _unpack_blocks(trunc)
-    count = tridiag_count_below(blocks, b)
-    if count == 0:
-        return np.zeros(0)
-    return _multisection(blocks, list(range(1, count + 1)), tol)
+def tridiag_eigs_below(trunc, b: float, tol: float | None = None, above: int = 0):
+    """All eigenvalues of T strictly below b, ascending, from one
+    multisection whose first sweep also counts b.
+
+    With above > 0 the same multisection also finds the next `above`
+    eigenvalues (fewer where T has fewer), and the result is the pair
+    (below, next).  A non-finite b raises ValueError.
+    """
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
+    B, A = _unpack_blocks(trunc)
+    n = B.shape[0] * B.shape[1]
+    count, vals = _multisection(
+        (B, A), lambda c: range(1, min(c + above, n) + 1), tol, edge=b)
+    return (vals[:count], vals[count:]) if above else vals
 
 
-def tridiag_inverse_iteration(trunc, lam: float,
+def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU,
                               start=None, n_iter: int = 6,
                               ortho=()) -> tuple[np.ndarray, float]:
-    """Unit eigenvector for an eigenvalue estimate lam, plus Rayleigh value.
+    """Unit eigenvector for the eigenvalue nearest the shift of `factor`,
+    plus its Rayleigh value.
 
-    Solves against a shift nudged off lam by 1e-11 * scale.  Starting from a
-    vector supported on the first block keeps the exponentially small tail
-    componentwise accurate (the back substitution propagates relative, not
-    absolute, precision).  Vectors in `ortho` are projected out each step,
-    which resolves members of a degenerate cluster one at a time.
+    `factor` is the one-shift factor of T - shift*I, e.g. one member of a
+    grid factor shared by several eigenvalue estimates, with the shift
+    nudged off the estimate.  Starting from a vector supported on the first
+    block keeps the exponentially small tail componentwise accurate (the
+    back substitution propagates relative, not absolute, precision).
+    Vectors in `ortho` are projected out each step, which resolves members
+    of a degenerate cluster one at a time.
     """
     blocks = _unpack_blocks(trunc)
     N, d = blocks[0].shape[:2]
-    scale = max(block_scale(*blocks), abs(lam))
-    sigma = lam + 1e-11 * scale
-    lu = block_tridiag_factor(blocks, sigma, check_conditioning=False)
     if start is None:
         x = np.zeros(N * d, dtype=np.complex128)
         x[:d] = 1.0 / np.sqrt(d)
     else:
         x = np.asarray(start, dtype=np.complex128).copy()
     for _ in range(n_iter):
-        x = lu.solve(x)
+        x = factor.solve(x)
         for o in ortho:
             x = x - (np.vdot(o, x)) * o
         nrm = vector_norm(x)

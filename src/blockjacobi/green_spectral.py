@@ -27,8 +27,7 @@ from .bounds import (BoundParams, check_pairwise_commutation, gamma_rate,
                      qualified_constant, scalar_envelope, _phi_partial_sums)
 from .dense_linalg import (block_tridiag_factor, psd_matfunc, spectral_norm,
                            tridiag_apply, tridiag_eigs_below,
-                           tridiag_inverse_iteration, tridiag_kth_eigenvalue,
-                           vector_norm, _sigma_min)
+                           tridiag_inverse_iteration, vector_norm, _sigma_min)
 from .operator_model import (OperatorFamily, Truncation, assemble_truncation,
                              offdiag_kernel_flags)
 
@@ -122,16 +121,29 @@ def eigenpairs_below(trunc: Truncation, b: float,
 
     Eigenvalues come from inertia multisection; vectors from inverse iteration
     against the block LU, which keeps exponentially small tails accurate in
-    the componentwise-relative sense.  Members of a near-degenerate cluster
-    are orthogonalized against each other.  May be empty.
+    the componentwise-relative sense; all iterations share one grid factor
+    of their distinct shifts.  Members of a near-degenerate cluster are
+    orthogonalized against each other.  A vector whose residual or Rayleigh
+    value misses its eigenvalue is redone from a random start.  May be empty.
     """
     N, d = trunc.nblocks, trunc.dim
     vals = tridiag_eigs_below(trunc, b, tol)
+    if not vals.size:
+        return []
+    # each estimate's shift, nudged up by 1e-11 * max(scale, |lam|) so that
+    # the unchecked factor stays usable; equal shifts share one member
+    shifts, member = np.unique(vals + 1e-11 * np.maximum(trunc.scale(), np.abs(vals)),
+                               return_inverse=True)
+    grid = block_tridiag_factor(trunc, shifts, check_conditioning=False)
     scale = max(trunc.scale(), abs(b), 1.0)
     cluster_tol = 1e-8 * scale
     pairs: list[Eigenpair] = []
     cluster: list[np.ndarray] = []
     prev_val = None
+
+    def miss(x, rq, lam):  # residual, or the Rayleigh value's distance from lam
+        return max(vector_norm(tridiag_apply(trunc, x) - rq * x), abs(rq - lam))
+
     for i, lam in enumerate(vals):
         if prev_val is None or lam - prev_val > cluster_tol:
             cluster = []
@@ -142,20 +154,16 @@ def eigenpairs_below(trunc: Truncation, b: float,
         else:
             rng = np.random.default_rng(31337 + i)
             start[:] = rng.standard_normal(N * d)
-        x, rq = tridiag_inverse_iteration(
-            trunc, lam, start=start, ortho=tuple(cluster))
-        resid = vector_norm(
-            tridiag_apply(trunc, x) - rq * x)
-        if resid > 1e-8 * scale:
+        lu = grid.member(member[i])
+        x, rq = tridiag_inverse_iteration(trunc, lu, start=start, ortho=tuple(cluster))
+        if miss(x, rq, lam) > 1e-8 * scale:
             rng = np.random.default_rng(77003 + i)
             x, rq = tridiag_inverse_iteration(
-                trunc, lam,
-                start=rng.standard_normal(N * d).astype(np.complex128),
+                trunc, lu, start=rng.standard_normal(N * d).astype(np.complex128),
                 n_iter=12, ortho=tuple(cluster))
-            resid = vector_norm(tridiag_apply(trunc, x) - rq * x)
-            if resid > 1e-8 * scale:
-                raise ArithmeticError(
-                    f"inverse iteration residual {resid:.3e} for eigenvalue {lam}")
+            if (m := miss(x, rq, lam)) > 1e-8 * scale:
+                raise ArithmeticError(f"inverse iteration residual or Rayleigh "
+                                      f"offset {m:.3e} for eigenvalue {lam}")
         cluster.append(x)
         prev_val = lam
         tail = vector_norm(x[(N - 1) * d:])
@@ -175,8 +183,8 @@ def perturbed_family(family: OperatorFamily, tau: float,
     satisfies both in finite dimension.
     """
     d = family.dim
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if L is None:
         L = np.eye(d, dtype=np.complex128)
     L = np.asarray(L, dtype=np.complex128)
@@ -371,10 +379,8 @@ def _qualified_metas(trunc: Truncation, points: list[BoundParams]):
     query: the distance from lambda to the eigenvalues below b and the next
     one up, and the depth of the point spectrum below b."""
     b = points[0].b
-    below = tridiag_eigs_below(trunc, b)
-    cands = list(below)
-    if below.size < trunc.dense_dim:
-        cands.append(tridiag_kth_eigenvalue(trunc, below.size + 1))
+    below, above = tridiag_eigs_below(trunc, b, above=1)
+    cands = [*below, *above]
     min_eig_gap = abs(b - min(below)) if below.size else 0.0
     for p in points:
         dist_sigma = min(abs(complex(p.lam) - mu) for mu in cands)

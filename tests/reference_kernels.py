@@ -3,8 +3,11 @@
 The per-matrix cyclic Jacobi eigensolver, the per-block LU with partial
 pivoting, the per-shift block elimination and solve built on it, and the
 per-block tridiagonal product: the library runs each of these on whole
-stacks and must reproduce them bit for bit.  Also a block problem with one
-ill-conditioned pivot, shared by the factor tests.
+stacks and must reproduce them bit for bit.  Likewise the spectral queries
+as they ran before they shared work: the edge count as a sweep of its own
+before the multisection, and inverse iteration factoring each eigenvalue's
+shift alone.  Also a block problem with one ill-conditioned pivot, shared
+by the factor tests.
 """
 
 import numpy as np
@@ -205,3 +208,48 @@ def mid_chain_problem():
     diag[2] = np.array([1e-13, 1.0]) + 0.25 / d2
     B = np.array([np.diag(v) for v in diag], dtype=complex)
     return B, A
+
+
+def reference_eigs_below(trunc, b, tol=None):
+    """Eigenvalues below b as a one-shift count followed by a multisection
+    for indices 1..count (none when the count is 0)."""
+    blocks = dl._unpack_blocks(trunc)
+    count = dl.tridiag_count_below(blocks, b)
+    if count == 0:
+        return np.zeros(0)
+    return dl._multisection(blocks, list(range(1, count + 1)), tol)[1]
+
+
+def reference_eigenpairs_below(trunc, b, tol=None):
+    """eigenpairs_below one eigenvalue at a time: each inverse iteration, and
+    each restart, factors its own shift.  A pair is redone from a random
+    start when its residual or its Rayleigh value's distance from the
+    eigenvalue exceeds 1e-8 * scale."""
+    N, d = trunc.nblocks, trunc.dim
+    vals = reference_eigs_below(trunc, b, tol)
+    scale = max(trunc.scale(), abs(b), 1.0)
+    pairs, cluster, prev = [], [], None
+    for i, lam in enumerate(vals):
+        if prev is None or lam - prev > 1e-8 * scale:
+            cluster = []
+        start = np.zeros(N * d, dtype=np.complex128)
+        if len(cluster) < d:
+            start[len(cluster)] = 1.0
+        else:
+            start[:] = np.random.default_rng(31337 + i).standard_normal(N * d)
+        shift = lam + 1e-11 * max(trunc.scale(), abs(lam))
+        lu = dl.block_tridiag_factor(trunc, shift, check_conditioning=False)
+        x, rq = dl.tridiag_inverse_iteration(trunc, lu, start=start, ortho=tuple(cluster))
+        resid = dl.vector_norm(dl.tridiag_apply(trunc, x) - rq * x)
+        if max(resid, abs(rq - lam)) > 1e-8 * scale:
+            start = np.random.default_rng(77003 + i).standard_normal(N * d)
+            lu = dl.block_tridiag_factor(trunc, shift, check_conditioning=False)
+            x, rq = dl.tridiag_inverse_iteration(trunc, lu, start=start.astype(np.complex128),
+                                                 n_iter=12, ortho=tuple(cluster))
+            resid = dl.vector_norm(dl.tridiag_apply(trunc, x) - rq * x)
+            if max(resid, abs(rq - lam)) > 1e-8 * scale:
+                raise ArithmeticError(f"inverse iteration misses eigenvalue {lam}")
+        cluster.append(x)
+        prev = lam
+        pairs.append((rq, x, bool(dl.vector_norm(x[(N - 1) * d:]) > 1e-6)))
+    return pairs

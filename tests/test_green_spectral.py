@@ -12,7 +12,7 @@ from blockjacobi import (BoundParams, EmptySpectrumError, OperatorFamily,
                          verify_commuting_decay, verify_eigenvector_decay,
                          verify_green_decay)
 
-from blockjacobi import green_spectral
+from blockjacobi import dense_linalg, green_spectral
 from blockjacobi.green_spectral import perturbed_family
 
 from conftest import random_family, shift_first_block
@@ -417,21 +417,26 @@ class TestVerifyGrid:
 
     def test_spectral_data_once_per_grid(self, monkeypatch):
         calls = {}
-        for name in ("assemble_truncation", "check_pairwise_commutation",
-                     "tridiag_eigs_below", "tridiag_kth_eigenvalue",
-                     "green_column"):
-            fn = getattr(green_spectral, name)
+        for module, name in ((green_spectral, "assemble_truncation"),
+                             (green_spectral, "check_pairwise_commutation"),
+                             (green_spectral, "tridiag_eigs_below"),
+                             (green_spectral, "green_column"),
+                             (dense_linalg, "tridiag_kth_eigenvalue"),
+                             (dense_linalg, "_multisection")):
+            fn = getattr(module, name)
 
             def counted(*a, _fn=fn, _name=name, **kw):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*a, **kw)
-            monkeypatch.setattr(green_spectral, name, counted)
+            monkeypatch.setattr(module, name, counted)
         reports = verify_commuting_decay(self.DIAG, self.grid(-2.0, -1.5, -1.0), 40)
         assert len(reports) == 3
         assert calls["assemble_truncation"] == 1
         assert calls["check_pairwise_commutation"] == 1
         assert calls["tridiag_eigs_below"] == 1
-        assert calls.get("tridiag_kth_eigenvalue", 0) <= 1
+        # one multisection finds the eigenvalues below b and the next one up
+        assert calls["_multisection"] == 1
+        assert calls.get("tridiag_kth_eigenvalue", 0) == 0
         assert calls["green_column"] == 1  # one shift-batched call per grid
 
 
