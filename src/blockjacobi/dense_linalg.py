@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -396,11 +396,6 @@ class BlockTridiagLU:
             y[:, k] -= T[:, k] @ y[:, k + 1]
         return y.reshape(np.shape(self.shift) + R.shape)
 
-    def member(self, s: int) -> "BlockTridiagLU":
-        """The factor of shift s of an array of shifts, as a one-shift factor."""
-        return BlockTridiagLU(self.shift[s], self.nblocks, self.dim, *(
-            getattr(self, f.name)[s] for f in fields(self)[3:]))
-
 
 def _unpack_blocks(trunc):
     """Diagonal and off-diagonal blocks as (N, d, d) and (N-1, d, d) complex
@@ -486,9 +481,10 @@ def block_tridiag_factor(trunc, shift,
                 raise SingularShiftError(int(bad[0]) + 1, float(cond[bad[0]]))
             if stop < N:
                 raise SingularShiftError(int(stop) + 1, np.inf)
-    lu = BlockTridiagLU(shifts, N, d, pivots, factors, perms, transforms,
-                        Ah @ inverses[:, :-1], conds)
-    return lu if np.ndim(shift) else lu.member(0)
+    forwards = Ah @ inverses[:, :-1]
+    lead = slice(None) if np.ndim(shift) else 0
+    return BlockTridiagLU(shifts[lead], N, d, *(a[lead] for a in (
+        pivots, factors, perms, transforms, forwards, conds)))
 
 
 def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
@@ -819,15 +815,16 @@ def _multisection(blocks, ks, tol, edge=None):
     as bisection would, stopping once its bracket is no wider than tol, so
     the result is the bisection midpoint bit for bit, in fewer sweeps.
 
-    With an edge b, ks is a function of the number of eigenvalues below b:
-    the first sweep's shifts do not depend on the indices, so b rides in
-    its last slot (a shift counts the same alone or in any batch) and its
-    count fixes them.  Returns (count, eigenvalues), count None without an
-    edge.
+    With an edge b, ks are offsets from the number c of eigenvalues below
+    b: the indices are c + k for k in ks, kept within 1..n = N d.  The first
+    sweep's shifts do not depend on the indices, so b rides in its last
+    slot (a shift counts the same alone or in any batch) and its count
+    fixes them.  Returns (c, eigenvalues), c None without an edge.
     """
     lo, hi = _gershgorin_bounds(*blocks)
     if tol is None:
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+    n = blocks[0].shape[0] * blocks[0].shape[1]
     start = (lo - tol, hi + tol)
     brackets = [start] * (len(ks) if edge is None else 1)
     count, extra = None, [] if edge is None else [edge]
@@ -842,7 +839,7 @@ def _multisection(blocks, ks, tol, edge=None):
         counts = tridiag_count_below(blocks, np.append(cuts, extra))
         if extra:
             count, extra = int(counts[-1]), []
-            ks = ks(count)
+            ks = [count + k for k in ks if 1 <= count + k <= n]
             brackets = [start] * len(ks)
         row = {br: (e, c) for br, e, c in zip(
             open_, edges.tolist(), counts[:cuts.size].reshape(len(open_), -1).tolist())}
@@ -869,21 +866,21 @@ def tridiag_kth_eigenvalue(trunc, k: int, tol: float | None = None) -> float:
     return float(_multisection((B, A), [k], tol)[1][0])
 
 
-def tridiag_eigs_below(trunc, b: float, tol: float | None = None, above: int = 0):
-    """All eigenvalues of T strictly below b, ascending, from one
-    multisection whose first sweep also counts b.
+def tridiag_eigs_below(trunc, b: float, tol: float | None = None,
+                       above: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(below, next): all eigenvalues of T strictly below b, ascending, and
+    the next `above` eigenvalues (fewer where T has fewer; empty for
+    above = 0), from one multisection whose first sweep also counts b.
 
-    With above > 0 the same multisection also finds the next `above`
-    eigenvalues (fewer where T has fewer), and the result is the pair
-    (below, next).  A non-finite b raises ValueError.
+    A non-finite b raises ValueError.
     """
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
     B, A = _unpack_blocks(trunc)
     n = B.shape[0] * B.shape[1]
-    count, vals = _multisection(
-        (B, A), lambda c: range(1, min(c + above, n) + 1), tol, edge=b)
-    return (vals[:count], vals[count:]) if above else vals
+    # offsets 1 - n .. above from the count below b: indices 1..count + above
+    count, vals = _multisection((B, A), range(1 - n, above + 1), tol, edge=b)
+    return vals[:count], vals[count:]
 
 
 def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU,
@@ -892,13 +889,13 @@ def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU,
     """Unit eigenvector for the eigenvalue nearest the shift of `factor`,
     plus its Rayleigh value.
 
-    `factor` is the one-shift factor of T - shift*I, e.g. one member of a
-    grid factor shared by several eigenvalue estimates, with the shift
-    nudged off the estimate.  Starting from a vector supported on the first
-    block keeps the exponentially small tail componentwise accurate (the
-    back substitution propagates relative, not absolute, precision).
-    Vectors in `ortho` are projected out each step, which resolves members
-    of a degenerate cluster one at a time.
+    `factor` is the one-shift factor of T - shift*I, with the shift nudged
+    off the eigenvalue estimate; iterations for equal shifts can share it.
+    Starting from a vector supported on the first block keeps the
+    exponentially small tail componentwise accurate (the back substitution
+    propagates relative, not absolute, precision).  Vectors in `ortho` are
+    projected out each step, which resolves members of a degenerate
+    cluster one at a time.
     """
     blocks = _unpack_blocks(trunc)
     N, d = blocks[0].shape[:2]

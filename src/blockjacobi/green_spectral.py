@@ -121,25 +121,20 @@ def eigenpairs_below(trunc: Truncation, b: float,
 
     Eigenvalues come from inertia multisection; vectors from inverse iteration
     against the block LU, which keeps exponentially small tails accurate in
-    the componentwise-relative sense; all iterations share one grid factor
-    of their distinct shifts.  Members of a near-degenerate cluster are
-    orthogonalized against each other.  A vector whose residual or Rayleigh
-    value misses its eigenvalue is redone from a random start.  May be empty.
+    the componentwise-relative sense; consecutive eigenvalues with equal
+    shifts (a degenerate cluster) share one factor.  Members of a
+    near-degenerate cluster are orthogonalized against each other.  A vector
+    whose residual or Rayleigh value misses its eigenvalue is redone from a
+    random start.  May be empty.
     """
     N, d = trunc.nblocks, trunc.dim
-    vals = tridiag_eigs_below(trunc, b, tol)
-    if not vals.size:
-        return []
-    # each estimate's shift, nudged up by 1e-11 * max(scale, |lam|) so that
-    # the unchecked factor stays usable; equal shifts share one member
-    shifts, member = np.unique(vals + 1e-11 * np.maximum(trunc.scale(), np.abs(vals)),
-                               return_inverse=True)
-    grid = block_tridiag_factor(trunc, shifts, check_conditioning=False)
-    scale = max(trunc.scale(), abs(b), 1.0)
+    vals, _ = tridiag_eigs_below(trunc, b, tol)
+    tscale = trunc.scale()
+    scale = max(tscale, abs(b), 1.0)
     cluster_tol = 1e-8 * scale
     pairs: list[Eigenpair] = []
     cluster: list[np.ndarray] = []
-    prev_val = None
+    prev_val = prev_shift = None
 
     def miss(x, rq, lam):  # residual, or the Rayleigh value's distance from lam
         return max(vector_norm(tridiag_apply(trunc, x) - rq * x), abs(rq - lam))
@@ -154,7 +149,10 @@ def eigenpairs_below(trunc: Truncation, b: float,
         else:
             rng = np.random.default_rng(31337 + i)
             start[:] = rng.standard_normal(N * d)
-        lu = grid.member(member[i])
+        # nudged up by 1e-11 * max(scale, |lam|) so the unchecked factor stays usable
+        shift = lam + 1e-11 * max(tscale, abs(lam))
+        if shift != prev_shift:
+            lu, prev_shift = block_tridiag_factor(trunc, shift, check_conditioning=False), shift
         x, rq = tridiag_inverse_iteration(trunc, lu, start=start, ortho=tuple(cluster))
         if miss(x, rq, lam) > 1e-8 * scale:
             rng = np.random.default_rng(77003 + i)
