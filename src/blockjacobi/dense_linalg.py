@@ -7,7 +7,8 @@ polynomial root finder.  Everything here is deterministic: fixed sweep
 orders, fixed starting configurations, no randomness.
 
 Spectral queries count eigenvalues below a whole vector of shifts in one
-block LDL* sweep.  Each multisection sweep spreads 128 shifts over the open
+block LDL* sweep, which stops once the rest of the matrix cannot add a
+negative pivot.  Each multisection sweep spreads 128 shifts over the open
 eigenvalue brackets as levels of halving (127 shifts, 7 levels for a lone
 bracket), so one eigenvalue at the default tolerance takes about 7 sweeps
 where bisection took about 44, and comes out as the bisection midpoint bit
@@ -27,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -523,6 +525,53 @@ def tridiag_apply(trunc, x) -> np.ndarray:
 # times a single-shift one
 _SHIFTS_PER_SWEEP = 128
 
+# A sweep stops once the rest of T cannot add a negative pivot.  After
+# eliminating blocks 1..k the rest of the count is the inertia of
+# T[k+1:] - x - E, with E = A_k^* D_k^{-1} A_k on its first block.  For a
+# positive definite pivot D_k, 0 <= E <= ||A_k||^2 / lambda_min(D_k), so by
+# Weyl's inequality and block Gershgorin every later pivot is positive
+# definite once g_{k+1} - x - ||A_k||^2 / lambda_min(D_k) exceeds the margin
+# _STOP_MARGIN * max(scale, |x|), where g_{k+1} is the least Gershgorin floor
+# of blocks k+1..N.  The test runs every _STOP_STRIDE blocks and ends the
+# sweep when it holds for every shift; it changes no count, so counts stay
+# batch-invariant.
+#
+# Rounding: lambda_min(D_k) is used only above _PIVOT_FLOOR * lambda_max(D_k).
+# The kernels' pivot eigenvalues are good to about 1e-14 * ||D_k||_F (a few
+# ulps for the closed forms of d <= 2, JACOBI_OFF_TOL for the Jacobi of
+# d >= 3), so an accepted lambda_min is good to 1e-10 * sqrt(d) of itself,
+# and ||A_k||^2 / lambda_min to that fraction of its value, which the test
+# keeps below g_{k+1} - x <= (d + 1) * max(scale, |x|): an error under
+# 1e-10 * (d + 1)^1.5 * max(scale, |x|), well inside the margin.  The margin
+# is 1e5 times the pivot nudge threshold, so the full recurrence nudges no
+# later pivot either.  The test divides by nothing, so a zero pivot raises
+# no warning; its products overflow only where the kernels' own squares of
+# the A_k entries do.
+_STOP_STRIDE, _STOP_MARGIN, _PIVOT_FLOOR = 8, 1e-8, 1e-4
+
+
+class _TailStop:
+    """The stop test of one sweep over the shifts x (see above), from the
+    Gershgorin floors and off-diagonal norms of a _Section."""
+
+    def __init__(self, section, x, scale):
+        # floor[k + 1] = g_{k+1}, the least floor of 0-based blocks k+1..N-1
+        self.floor = np.minimum.accumulate(section.floors[::-1])[::-1].tolist()
+        self.norm2 = (section.norms * section.norms).tolist()
+        self.reach = x + _STOP_MARGIN * scale
+        self.top = float(self.reach.max())
+
+    def due(self, k: int) -> bool:
+        """Whether to test after 0-based block k: every _STOP_STRIDE blocks,
+        once the floor of the rest lies above every shift plus its margin."""
+        return k % _STOP_STRIDE == _STOP_STRIDE - 1 and self.floor[k + 1] > self.top
+
+    def holds(self, k: int, lam, top) -> bool:
+        """No pivot after block k can be negative, for pivots D_k whose
+        smallest and largest eigenvalues are lam and top (one per shift)."""
+        gap = self.floor[k + 1] - self.reach
+        return bool(np.all((lam > _PIVOT_FLOOR * top) & (self.norm2[k] < gap * lam)))
+
 
 def _herm2_mid_rad(a, c, zz):
     """Eigenvalues mid -+ rad of the Hermitian [[a, z], [conj z, c]] with
@@ -531,7 +580,7 @@ def _herm2_mid_rad(a, c, zz):
     return 0.5 * (a + c), np.sqrt(h * h + zz)
 
 
-def _count_d1(B, A, x, bump):
+def _count_d1(B, A, x, bump, stop):
     b = B[:, 0, 0].real
     g = abs(A[:, 0, 0]) ** 2
     two_bump = 2.0 * bump
@@ -540,12 +589,12 @@ def _count_d1(B, A, x, bump):
     D = b[0] - x
     for k in range(N):
         np.less(D, 0.0, out=negative[k])
-        if k == N - 1:
+        if k == N - 1 or stop.due(k) and stop.holds(k, D, D):
             break
         D = D + (np.abs(D) < bump) * two_bump
         D = D + (D == 0.0) * two_bump
         D = (b[k + 1] - x) - g[k] / D
-    return np.count_nonzero(negative, axis=0)
+    return np.count_nonzero(negative[:k + 1], axis=0), k + 1
 
 
 def _schur_coeffs_d2(A):
@@ -570,7 +619,7 @@ def _schur_coeffs_d2(A):
     return coef[..., None]
 
 
-def _count_d2(B, A, x, bump):
+def _count_d2(B, A, x, bump, stop):
     # the Hermitian pivot D = [[a, z], [conj z, c]] is kept as the rows
     # X = (a, c, Re z, Im z) of a (4, S) array
     z = 0.5 * (B[:, 0, 1] + B[:, 1, 0].conj())
@@ -591,7 +640,7 @@ def _count_d2(B, A, x, bump):
         mid, rad = _herm2_mid_rad(a, c, zz)
         np.less(mid, rad, out=lo_negative[k])
         np.less(mid, -rad, out=hi_negative[k])
-        if k == N - 1:
+        if k == N - 1 or stop.due(k) and stop.holds(k, mid - rad, mid + rad):
             break
         # min |eigenvalue| = ||mid| - rad|
         X[:2] += (np.abs(np.abs(mid) - rad) < bump) * two_bump
@@ -602,8 +651,8 @@ def _count_d2(B, A, x, bump):
         P = X / det
         c0, c1, c2, c3 = coef[k]
         X = (base[k + 1] - shift) - (c0 * P[0] + c1 * P[1] + c2 * P[2] + c3 * P[3])
-    return np.count_nonzero(lo_negative, axis=0) + \
-        np.count_nonzero(hi_negative, axis=0)
+    return np.count_nonzero(lo_negative[:k + 1], axis=0) + \
+        np.count_nonzero(hi_negative[:k + 1], axis=0), k + 1
 
 
 def _herm_eigvals_batched(Dr, Di) -> np.ndarray:
@@ -714,7 +763,7 @@ def _lu_solve_batched(Dr, Di, Rr, Ri):
     return Yr, Yi, singular
 
 
-def _count_general(B, A, x, bump):
+def _count_general(B, A, x, bump, stop):
     N, d = B.shape[0], B.shape[1]
     eye = np.eye(d)
     xI = x[:, None, None] * eye
@@ -727,7 +776,7 @@ def _count_general(B, A, x, bump):
         Di = 0.5 * (Di - Di.transpose(0, 2, 1))
         ev = _herm_eigvals_batched(Dr, Di)
         neg += np.count_nonzero(ev < 0.0, axis=1)
-        if k == N - 1:
+        if k == N - 1 or stop.due(k) and stop.holds(k, ev.min(axis=1), ev.max(axis=1)):
             break
         Dr = Dr + np.where((np.abs(ev).min(axis=1) < bump)[:, None, None],
                            two_bump, 0.0)
@@ -747,7 +796,7 @@ def _count_general(B, A, x, bump):
             Mi = Mi + (hr * yi + hi * yr)
         Dr = (B[k + 1].real - xI) - Mr
         Di = B[k + 1].imag - Mi
-    return neg
+    return neg, k + 1
 
 
 def tridiag_count_below(trunc, x):
@@ -758,22 +807,49 @@ def tridiag_count_below(trunc, x):
     array); the recurrence runs once for all shifts.  A pivot whose smallest
     |eigenvalue| is below bump = 1e-13 * max(scale, |x|) is nudged by
     2 * bump * I before elimination, and again if still exactly singular.
+    The sweep stops early once the rest of T cannot add a negative pivot
+    for any shift, which changes no count.  A non-finite shift raises
+    ValueError.
     """
-    B, A = _unpack_blocks(trunc)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"shifts must be a scalar or 1-d, got shape {xs.shape}")
     shifts = np.atleast_1d(xs)
-    bump = 1e-13 * np.maximum(block_scale(B, A), np.abs(shifts))
-    d = B.shape[1]
-    count = {1: _count_d1, 2: _count_d2}.get(d, _count_general)
-    neg = count(B, A, shifts, bump)
+    bad = np.flatnonzero(~np.isfinite(shifts))
+    if bad.size:
+        raise ValueError(f"shifts must be finite, got {shifts[bad[0]]} at index {bad[0]}")
+    neg, _ = _count_below(trunc, shifts)
     return int(neg[0]) if xs.ndim == 0 else neg
 
 
-def _gershgorin_bounds(B, A):
-    """Block Gershgorin bracket of the spectrum: each diagonal block's
-    eigenvalues widened by ||A_{k-1}|| + ||A_k||."""
+def _count_below(trunc, x):
+    """The counts below the finite 1-d shifts x, and how many blocks the
+    sweep scanned (N unless the stop test ended it early).  A _Section
+    brings its Gershgorin data along; other input has it computed here."""
+    section = trunc if isinstance(trunc, _Section) else _gershgorin(trunc)
+    B, A = section.diag_blocks, section.offdiag_blocks
+    scale = np.maximum(block_scale(B, A), np.abs(x))
+    count = {1: _count_d1, 2: _count_d2}.get(B.shape[1], _count_general)
+    return count(B, A, x, 1e-13 * scale, _TailStop(section, x, scale))
+
+
+class _Section(NamedTuple):
+    """Blocks of T with their block Gershgorin data: per block k the floor
+    lambda_min(B_k) - r_k and the ceiling lambda_max(B_k) + r_k of its rows,
+    r_k = ||A_{k-1}|| + ||A_k||, and norms[k] = ||A_k||.  A multisection
+    computes it once and hands it to every count in place of the blocks
+    (a NamedTuple: a frozen dataclass costs ~2 ms more at import)."""
+
+    diag_blocks: np.ndarray
+    offdiag_blocks: np.ndarray
+    floors: np.ndarray
+    ceilings: np.ndarray
+    norms: np.ndarray
+
+
+def _gershgorin(trunc) -> _Section:
+    """The blocks of trunc and their block Gershgorin data."""
+    B, A = _unpack_blocks(trunc)
     norms = spectral_norm(A)
     r = np.zeros(B.shape[0])
     r[1:] += norms
@@ -789,7 +865,13 @@ def _gershgorin_bounds(B, A):
     else:
         ev = hermitian_eig(B).values
         lo, hi = ev[:, 0], ev[:, -1]
-    return float((lo - r).min()), float((hi + r).max())
+    return _Section(B, A, lo - r, hi + r, norms)
+
+
+def _gershgorin_bounds(section: _Section) -> tuple[float, float]:
+    """Block Gershgorin bracket of the spectrum: each diagonal block's
+    eigenvalues widened by ||A_{k-1}|| + ||A_k||."""
+    return float(section.floors.min()), float(section.ceilings.max())
 
 
 def _halvings(brackets, depth: int) -> np.ndarray:
@@ -819,9 +901,15 @@ def _multisection(blocks, ks, tol, edge=None):
     b: the indices are c + k for k in ks, kept within 1..n = N d.  The first
     sweep's shifts do not depend on the indices, so b rides in its last
     slot (a shift counts the same alone or in any batch) and its count
-    fixes them.  Returns (c, eigenvalues), c None without an edge.
+    fixes them.  Returns (c, eigenvalues), c None without an edge.  A tol
+    that is not finite and > 0 raises ValueError (bisection to it would
+    never end).  Every count gets the Gershgorin data computed here, for
+    its stop test.
     """
-    lo, hi = _gershgorin_bounds(*blocks)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    section = _gershgorin(blocks)
+    lo, hi = _gershgorin_bounds(section)
     if tol is None:
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
     n = blocks[0].shape[0] * blocks[0].shape[1]
@@ -836,7 +924,7 @@ def _multisection(blocks, ks, tol, edge=None):
         depth = max(1, (_SHIFTS_PER_SWEEP // len(open_) + 1).bit_length() - 1)
         edges = _halvings(open_, depth)
         cuts = edges[:, 1:-1].ravel()
-        counts = tridiag_count_below(blocks, np.append(cuts, extra))
+        counts = tridiag_count_below(section, np.append(cuts, extra))
         if extra:
             count, extra = int(counts[-1]), []
             ks = [count + k for k in ks if 1 <= count + k <= n]
@@ -858,7 +946,8 @@ def _multisection(blocks, ks, tol, edge=None):
 
 
 def tridiag_kth_eigenvalue(trunc, k: int, tol: float | None = None) -> float:
-    """k-th smallest eigenvalue (1-based) by inertia multisection."""
+    """k-th smallest eigenvalue (1-based) by inertia multisection; a tol
+    that is not finite and > 0 raises ValueError."""
     B, A = _unpack_blocks(trunc)
     n = B.shape[0] * B.shape[1]
     if not 1 <= k <= n:
@@ -872,7 +961,7 @@ def tridiag_eigs_below(trunc, b: float, tol: float | None = None,
     the next `above` eigenvalues (fewer where T has fewer; empty for
     above = 0), from one multisection whose first sweep also counts b.
 
-    A non-finite b raises ValueError.
+    A non-finite b, or a tol that is not finite and > 0, raises ValueError.
     """
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")

@@ -29,7 +29,7 @@ from .dense_linalg import (block_tridiag_factor, psd_matfunc, spectral_norm,
                            tridiag_apply, tridiag_eigs_below,
                            tridiag_inverse_iteration, vector_norm, _sigma_min)
 from .operator_model import (OperatorFamily, Truncation, assemble_truncation,
-                             offdiag_kernel_flags)
+                             block_entries, offdiag_kernel_flags)
 
 __all__ = [
     "GreenBlockSet",
@@ -208,9 +208,14 @@ def perturbed_family(family: OperatorFamily, tau: float,
 
 def perturbed_truncation(trunc: Truncation, tau: float,
                          L: np.ndarray | None = None) -> Truncation:
-    """Truncation of the perturbed operator at the same size."""
-    return assemble_truncation(perturbed_family(trunc.family, tau, L),
-                               trunc.nblocks)
+    """Truncation of the perturbed operator at the same size: trunc's
+    arrays with only B_1 replaced, read (and checked) through block_entries
+    of the perturbed family."""
+    family = perturbed_family(trunc.family, tau, L)
+    diags = trunc.diag_blocks.copy()
+    diags[0] = block_entries(family, 1)[1]
+    diags.setflags(write=False)
+    return Truncation(family, trunc.nblocks, diags, trunc.offdiag_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ per-block tridiagonal product: the library runs each of these on whole
 stacks and must reproduce them bit for bit.  Likewise the spectral queries
 as they ran before they shared work: the edge count as a sweep of its own
 before the multisection, and inverse iteration factoring each eigenvalue's
-shift alone.  Also a block problem with one ill-conditioned pivot, shared
-by the factor tests.
+shift alone, and the inertia count running every sweep to the last block.
+Also a block problem with one ill-conditioned pivot, shared by the factor
+tests.
 """
 
 import numpy as np
@@ -253,3 +254,99 @@ def reference_eigenpairs_below(trunc, b, tol=None):
         prev = lam
         pairs.append((rq, x, bool(dl.vector_norm(x[(N - 1) * d:]) > 1e-6)))
     return pairs
+
+
+def reference_count_below(trunc, x):
+    """The inertia count's full recurrence over all N blocks, with no early
+    stop: counts below the 1-d shifts x as an int array, for d = 1 and 2 by
+    the library's closed forms and for d >= 3 by its batched Jacobi and LU,
+    with the same pivot nudges."""
+    B, A = dl._unpack_blocks(trunc)
+    x = np.asarray(x, dtype=float)
+    bump = 1e-13 * np.maximum(dl.block_scale(B, A), np.abs(x))
+    count = {1: _full_count_d1, 2: _full_count_d2}.get(B.shape[1], _full_count_general)
+    return count(B, A, x, bump)
+
+
+def _full_count_d1(B, A, x, bump):
+    b = B[:, 0, 0].real
+    g = abs(A[:, 0, 0]) ** 2
+    two_bump = 2.0 * bump
+    N = b.size
+    negative = np.empty((N, x.size), dtype=bool)
+    D = b[0] - x
+    for k in range(N):
+        np.less(D, 0.0, out=negative[k])
+        if k == N - 1:
+            break
+        D = D + (np.abs(D) < bump) * two_bump
+        D = D + (D == 0.0) * two_bump
+        D = (b[k + 1] - x) - g[k] / D
+    return np.count_nonzero(negative, axis=0)
+
+
+def _full_count_d2(B, A, x, bump):
+    z = 0.5 * (B[:, 0, 1] + B[:, 1, 0].conj())
+    base = np.stack([B[:, 0, 0].real, B[:, 1, 1].real, z.real, z.imag],
+                    axis=1)[:, :, None]
+    coef = [tuple(cf) for cf in dl._schur_coeffs_d2(A)]
+    shift = np.zeros((4, x.size))
+    shift[:2] = x
+    two_bump = 2.0 * bump
+    N = base.shape[0]
+    lo_negative = np.empty((N, x.size), dtype=bool)
+    hi_negative = np.empty((N, x.size), dtype=bool)
+    X = base[0] - shift
+    for k in range(N):
+        a, c, zr, zi = X
+        zz = zr * zr + zi * zi
+        mid, rad = dl._herm2_mid_rad(a, c, zz)
+        np.less(mid, rad, out=lo_negative[k])
+        np.less(mid, -rad, out=hi_negative[k])
+        if k == N - 1:
+            break
+        X[:2] += (np.abs(np.abs(mid) - rad) < bump) * two_bump
+        det = X[0] * X[1] - zz
+        if not det.all():
+            X[:2] += (det == 0.0) * two_bump
+            det = X[0] * X[1] - zz
+        P = X / det
+        c0, c1, c2, c3 = coef[k]
+        X = (base[k + 1] - shift) - (c0 * P[0] + c1 * P[1] + c2 * P[2] + c3 * P[3])
+    return np.count_nonzero(lo_negative, axis=0) + \
+        np.count_nonzero(hi_negative, axis=0)
+
+
+def _full_count_general(B, A, x, bump):
+    N, d = B.shape[0], B.shape[1]
+    eye = np.eye(d)
+    xI = x[:, None, None] * eye
+    two_bump = (2.0 * bump)[:, None, None] * eye
+    neg = np.zeros(x.size, dtype=np.int64)
+    Dr = B[0].real - xI
+    Di = np.broadcast_to(B[0].imag, Dr.shape)
+    for k in range(N):
+        Dr = 0.5 * (Dr + Dr.transpose(0, 2, 1))
+        Di = 0.5 * (Di - Di.transpose(0, 2, 1))
+        ev = dl._herm_eigvals_batched(Dr, Di)
+        neg += np.count_nonzero(ev < 0.0, axis=1)
+        if k == N - 1:
+            break
+        Dr = Dr + np.where((np.abs(ev).min(axis=1) < bump)[:, None, None],
+                           two_bump, 0.0)
+        Ar, Ai = A[k].real, A[k].imag
+        Yr, Yi, singular = dl._lu_solve_batched(Dr, Di, Ar, Ai)
+        if singular.any():
+            Dr[singular] += two_bump[singular]
+            Yr[singular], Yi[singular], _ = dl._lu_solve_batched(
+                Dr[singular], Di[singular], Ar, Ai)
+        Mr = np.zeros_like(Yr)
+        Mi = np.zeros_like(Yr)
+        for j in range(d):
+            hr, hi = Ar[j][None, :, None], -Ai[j][None, :, None]
+            yr, yi = Yr[:, j][:, None, :], Yi[:, j][:, None, :]
+            Mr = Mr + (hr * yr - hi * yi)
+            Mi = Mi + (hr * yi + hi * yr)
+        Dr = (B[k + 1].real - xI) - Mr
+        Di = B[k + 1].imag - Mi
+    return neg

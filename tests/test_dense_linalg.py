@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import dense_linalg as dl
+from reference_kernels import reference_count_below
 
 
 def random_hermitian(rng, n, complex_entries=True):
@@ -310,7 +311,8 @@ problems = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
 
 class TestInertiaProperties:
     """Batched inertia counts and multisection on random complex Hermitian
-    block problems, against numpy.linalg.eigvalsh."""
+    block problems, against numpy.linalg.eigvalsh and, bit for bit, the full
+    recurrence without the early stop."""
 
     @settings(deadline=None, max_examples=40)
     @given(problems, st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=12))
@@ -325,6 +327,7 @@ class TestInertiaProperties:
         single = [dl.tridiag_count_below((Bs, As), x) for x in xs]
         assert all(isinstance(c, int) for c in single)
         assert got.tolist() == single
+        assert np.array_equal(got, reference_count_below((Bs, As), xs))
         assert np.all(np.diff(got) >= 0)
         far = np.abs(xs[:, None] - w[None, :]).min(axis=1) > 1e-8 * span
         want = (w[None, :] < xs[:, None]).sum(axis=1)
@@ -336,7 +339,7 @@ class TestInertiaProperties:
         Bs, As = complex_block_problem(*problem)
         w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
         n = w.size
-        lo, hi = dl._gershgorin_bounds(*dl._unpack_blocks((Bs, As)))
+        lo, hi = dl._gershgorin_bounds(dl._gershgorin((Bs, As)))
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
         j = min(3, n)
         # The count carries rounding error of its own, amplified by nearly
@@ -375,7 +378,7 @@ class TestInertiaProperties:
         Bs, As = complex_block_problem(*problem)
         n = len(Bs) * Bs[0].shape[0]
         k = 1 + int(frac * (n - 1))
-        lo, hi = dl._gershgorin_bounds(*dl._unpack_blocks((Bs, As)))
+        lo, hi = dl._gershgorin_bounds(dl._gershgorin((Bs, As)))
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
         lo, hi = lo - tol, hi + tol
         while hi - lo > tol:

@@ -186,6 +186,24 @@ class TestPerturbedTruncation:
         for k in range(1, 10):
             assert np.array_equal(pert.diag_blocks[k], tr.diag_blocks[k])
 
+    @pytest.mark.parametrize("N", [1, 2, 30])
+    def test_equals_full_assembly(self, N):
+        # only B_1 is replaced; the rest is the base truncation's, bit for bit
+        fam = random_family(11, 2, complex_entries=True)
+        tr = assemble_truncation(fam, N)
+        unitary = np.array([[0.0, 1j], [1.0, 0.0]])
+        for tau, L in ((0.0, None), (0.3, None), (0.05, unitary)):
+            pert = perturbed_truncation(tr, tau, L)
+            want = assemble_truncation(perturbed_family(fam, tau, L), N)
+            assert pert.family.label == want.family.label
+            assert pert.nblocks == want.nblocks == N
+            for got, ref in ((pert.diag_blocks, want.diag_blocks),
+                             (pert.offdiag_blocks, want.offdiag_blocks)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+                assert not got.flags.writeable
+        assert not tr.diag_blocks.flags.writeable
+
     def test_norm_one_enforced(self, st_deep):
         tr = assemble_truncation(st_deep, 10)
         with pytest.raises(ValueError, match="must equal 1"):

@@ -201,6 +201,26 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="b must be finite"):
             BoundParams(lam=-1.0, b=b)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_rejected(self, st_critical, tol):
+        # bisection to tol <= 0 never ends, and tol = nan ends at once on nan
+        tr = assemble_truncation(st_critical, 5)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            dl.tridiag_kth_eigenvalue(tr, 1, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            dl.tridiag_eigs_below(tr, 0.0, tol=tol)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_shift_rejected(self, st_critical, x):
+        # the recurrence counts 0, not N d, below x = inf, and 0 below nan
+        tr = assemble_truncation(st_critical, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"shifts must be finite, got {x} at index 0"):
+                dl.tridiag_count_below(tr, x)
+            with pytest.raises(ValueError, match=f"got {x} at index 2"):
+                dl.tridiag_count_below(tr, [-1.0, 0.0, x, math.nan])
+
     @pytest.mark.parametrize("tau", [math.inf, math.nan, -1.0])
     def test_tau_rejected(self, st_critical, tau):
         with pytest.raises(ValueError, match="tau must be finite and >= 0"):
