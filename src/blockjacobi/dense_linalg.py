@@ -511,13 +511,14 @@ def tridiag_apply(trunc, x) -> np.ndarray:
 # Inertia counts and eigenvalue multisection (Sturm sequence on blocks)
 # ---------------------------------------------------------------------------
 #
-# The count recurrence runs once for a whole vector of shifts.  Every step
-# is elementwise along the shift axis and spells complex arithmetic out in
-# real and imaginary parts (numpy's vectorized complex multiply may fuse
-# operations in some lanes and not in others), so a shift's count is bitwise
-# the same alone or in any batch: counts are computed one way on every path
-# (Demmel, Dhillon & Ren, ETNA 3, 1995), and multisection relies on that to
-# reproduce bisection exactly.
+# The count recurrence runs once for a whole vector of shifts, and a shift's
+# count is bitwise the same alone or in any batch: counts are computed one
+# way on every path (Demmel, Dhillon & Ren, ETNA 3, 1995), and multisection
+# relies on that to reproduce bisection exactly.  For d <= 2 a step is a
+# closed form in real arithmetic, elementwise along the shift axis.  For
+# d >= 3 it runs on the library's stacked kernels: hermitian_eig's Jacobi
+# for the pivots' inertia, and block_tridiag_factor's pivot-block LU and
+# Schur update, each member of a stack bitwise what it is alone.
 
 # shifts per inertia sweep, spread over the open brackets (Lo, Philippe &
 # Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  A lone bracket gets 127 of
@@ -545,8 +546,9 @@ _SHIFTS_PER_SWEEP = 128
 # 1e-10 * (d + 1)^1.5 * max(scale, |x|), well inside the margin.  The margin
 # is 1e5 times the pivot nudge threshold, so the full recurrence nudges no
 # later pivot either.  The test divides by nothing, so a zero pivot raises
-# no warning; its products overflow only where the kernels' own squares of
-# the A_k entries do.
+# no warning.  Its square of ||A_k|| overflows (to a test that never holds)
+# above ~1e154, where the closed forms of d <= 2 square the A_k entries too;
+# the kernels of d >= 3 square none.
 _STOP_STRIDE, _STOP_MARGIN, _PIVOT_FLOOR = 8, 1e-8, 1e-4
 
 
@@ -655,147 +657,29 @@ def _count_d2(B, A, x, bump, stop):
         np.count_nonzero(hi_negative[:k + 1], axis=0), k + 1
 
 
-def _herm_eigvals_batched(Dr, Di) -> np.ndarray:
-    """Eigenvalues (unsorted, shape (S, n)) of S Hermitian matrices given by
-    real and imaginary parts, by the cyclic Jacobi rotations of hermitian_eig
-    with its tolerances.  Each member stops rotating once its own
-    off-diagonal mass is small."""
-    S, n, _ = Dr.shape
-    amax = np.sqrt((Dr * Dr + Di * Di).max(axis=(1, 2)))
-    scale = np.where(amax > 0.0, amax, 1.0)[:, None, None]
-    Wr = Dr / scale
-    Wi = Di / scale
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-
-    def sq(i, j):
-        return Wr[:, i, j] * Wr[:, i, j] + Wi[:, i, j] * Wi[:, i, j]
-
-    fro2 = np.zeros(S)
-    for i in range(n):
-        for j in range(n):
-            fro2 = fro2 + sq(i, j)
-    target2 = JACOBI_OFF_TOL * JACOBI_OFF_TOL * fro2
-    skip = JACOBI_OFF_TOL * np.sqrt(fro2) / (4.0 * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off2 = np.zeros(S)
-        for p, q in pairs:
-            off2 = off2 + 2.0 * sq(p, q)
-        active = off2 > target2
-        if not active.any():
-            break
-        for p, q in pairs:
-            ar, ai = Wr[:, p, q], Wi[:, p, q]
-            r = np.sqrt(ar * ar + ai * ai)
-            rot = active & (r > skip)
-            if not rot.any():
-                continue
-            r = np.where(rot, r, 1.0)
-            tau = (Wr[:, q, q] - Wr[:, p, p]) / (2.0 * r)
-            root = np.sqrt(1.0 + tau * tau)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
-            c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-            s = t[:, None] * c
-            spr = s * (ar / r)[:, None]  # s * ph, ph = a_pq / |a_pq|
-            spi = s * (ai / r)[:, None]
-            Vr, Vi = Wr.copy(), Wi.copy()
-            # columns: W G with G = [[c, s ph], [-s conj(ph), c]] on (p, q)
-            cpr, cpi, cqr, cqi = Vr[:, :, p].copy(), Vi[:, :, p].copy(), \
-                Vr[:, :, q].copy(), Vi[:, :, q].copy()
-            Vr[:, :, p] = c * cpr - (spr * cqr + spi * cqi)
-            Vi[:, :, p] = c * cpi - (spr * cqi - spi * cqr)
-            Vr[:, :, q] = (spr * cpr - spi * cpi) + c * cqr
-            Vi[:, :, q] = (spr * cpi + spi * cpr) + c * cqi
-            # rows: G^* W
-            rpr, rpi, rqr, rqi = Vr[:, p, :].copy(), Vi[:, p, :].copy(), \
-                Vr[:, q, :].copy(), Vi[:, q, :].copy()
-            Vr[:, p, :] = c * rpr - (spr * rqr - spi * rqi)
-            Vi[:, p, :] = c * rpi - (spr * rqi + spi * rqr)
-            Vr[:, q, :] = (spr * rpr + spi * rpi) + c * rqr
-            Vi[:, q, :] = (spr * rpi - spi * rpr) + c * rqi
-            Vr[:, p, q] = Vr[:, q, p] = 0.0
-            Vi[:, p, q] = Vi[:, q, p] = 0.0
-            Vi[:, p, p] = Vi[:, q, q] = 0.0
-            sel = rot[:, None, None]
-            Wr = np.where(sel, Vr, Wr)
-            Wi = np.where(sel, Vi, Wi)
-    else:
-        raise ArithmeticError("Jacobi eigensolver did not converge")
-    return Wr[:, np.arange(n), np.arange(n)] * scale[:, :, 0]
-
-
-def _lu_solve_batched(Dr, Di, Rr, Ri):
-    """Solve D Y = R for S matrices D (real and imaginary parts, (S, d, d))
-    and one right-hand side R, by the partial-pivoting elimination of
-    _lu_factor_small.  Returns Y and a per-member exactly-singular flag."""
-    S, d, _ = Dr.shape
-    Wr = np.concatenate([Dr, np.broadcast_to(Rr, (S,) + Rr.shape)], axis=2)
-    Wi = np.concatenate([Di, np.broadcast_to(Ri, (S,) + Ri.shape)], axis=2)
-    members = np.arange(S)
-    singular = np.zeros(S, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(d):
-            i = k + np.argmax(Wr[:, k:, k] ** 2 + Wi[:, k:, k] ** 2, axis=1)
-            for W in (Wr, Wi):
-                row = W[members, k].copy()
-                W[members, k] = W[members, i]
-                W[members, i] = row
-            pr, pi = Wr[:, k, k, None], Wi[:, k, k, None]
-            singular |= (pr[:, 0] == 0.0) & (pi[:, 0] == 0.0)
-            den = pr * pr + pi * pi
-            lr = (Wr[:, k + 1:, k] * pr + Wi[:, k + 1:, k] * pi) / den
-            li = (Wi[:, k + 1:, k] * pr - Wr[:, k + 1:, k] * pi) / den
-            ur, ui = Wr[:, None, k, k + 1:], Wi[:, None, k, k + 1:]
-            lr, li = lr[:, :, None], li[:, :, None]
-            Wr[:, k + 1:, k + 1:] -= lr * ur - li * ui
-            Wi[:, k + 1:, k + 1:] -= lr * ui + li * ur
-        Yr = np.empty((S, d, Rr.shape[1]))
-        Yi = np.empty_like(Yr)
-        for k in range(d - 1, -1, -1):
-            tr, ti = Wr[:, k, d:].copy(), Wi[:, k, d:].copy()
-            for j in range(k + 1, d):
-                ur, ui = Wr[:, k, j, None], Wi[:, k, j, None]
-                tr -= ur * Yr[:, j] - ui * Yi[:, j]
-                ti -= ur * Yi[:, j] + ui * Yr[:, j]
-            pr, pi = Wr[:, k, k, None], Wi[:, k, k, None]
-            den = pr * pr + pi * pi
-            Yr[:, k] = (tr * pr + ti * pi) / den
-            Yi[:, k] = (ti * pr - tr * pi) / den
-    return Yr, Yi, singular
-
-
 def _count_general(B, A, x, bump, stop):
-    N, d = B.shape[0], B.shape[1]
-    eye = np.eye(d)
-    xI = x[:, None, None] * eye
-    two_bump = (2.0 * bump)[:, None, None] * eye
+    # a Schur update is Hermitian only up to rounding; the count takes the
+    # inertia of its Hermitian part, as the closed forms of d <= 2 do
+    N, d = B.shape[:2]
+    I = np.eye(d)
+    xI = x[:, None, None] * I
+    two_bump = (2.0 * bump)[:, None, None] * I
+    Ah = A.conj().transpose(0, 2, 1)
     neg = np.zeros(x.size, dtype=np.int64)
-    Dr = B[0].real - xI
-    Di = np.broadcast_to(B[0].imag, Dr.shape)
+    D = B[0] - xI
     for k in range(N):
-        Dr = 0.5 * (Dr + Dr.transpose(0, 2, 1))
-        Di = 0.5 * (Di - Di.transpose(0, 2, 1))
-        ev = _herm_eigvals_batched(Dr, Di)
+        D = 0.5 * (D + D.conj().transpose(0, 2, 1))
+        ev = _jacobi(D).values
         neg += np.count_nonzero(ev < 0.0, axis=1)
-        if k == N - 1 or stop.due(k) and stop.holds(k, ev.min(axis=1), ev.max(axis=1)):
+        if k == N - 1 or stop.due(k) and stop.holds(k, ev[:, 0], ev[:, -1]):
             break
-        Dr = Dr + np.where((np.abs(ev).min(axis=1) < bump)[:, None, None],
-                           two_bump, 0.0)
-        Ar, Ai = A[k].real, A[k].imag
-        Yr, Yi, singular = _lu_solve_batched(Dr, Di, Ar, Ai)
+        D += np.where((np.abs(ev).min(axis=1) < bump)[:, None, None], two_bump, 0.0)
+        LU, perm, singular = _lu_factor_stack(D)
         if singular.any():
-            Dr[singular] += two_bump[singular]
-            Yr[singular], Yi[singular], _ = _lu_solve_batched(
-                Dr[singular], Di[singular], Ar, Ai)
-        # M = A^* Y, summed term by term over the inner index
-        Mr = np.zeros_like(Yr)
-        Mi = np.zeros_like(Yr)
-        for j in range(d):
-            hr, hi = Ar[j][None, :, None], -Ai[j][None, :, None]
-            yr, yi = Yr[:, j][:, None, :], Yi[:, j][:, None, :]
-            Mr = Mr + (hr * yr - hi * yi)
-            Mi = Mi + (hr * yi + hi * yr)
-        Dr = (B[k + 1].real - xI) - Mr
-        Di = B[k + 1].imag - Mi
+            D[singular] += two_bump[singular]
+            LU[singular], perm[singular], _ = _lu_factor_stack(D[singular])
+        Y = _lu_solve_stack(LU, perm, np.broadcast_to(A[k], D.shape).copy())
+        D = (B[k + 1] - xI) - Ah[k] @ Y
     return neg, k + 1
 
 

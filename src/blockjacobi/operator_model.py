@@ -262,6 +262,8 @@ def table_family(source) -> OperatorFamily:
         except KeyError as exc:
             raise ValueError(
                 f"malformed family table: block record {i} missing {exc}") from exc
+        if n in table:
+            raise ValueError(f"family table repeats block n={n}")
         A = np.array([_parse_entry(v) for v in raw_A], dtype=np.complex128)
         B = np.array([_parse_entry(v) for v in raw_B], dtype=np.complex128)
         if A.size != d * d or B.size != d * d:
@@ -287,6 +289,16 @@ def table_family(source) -> OperatorFamily:
                           label=label)
 
 
+def _pop_scalar(params: dict, key: str, *default):
+    """Pop a scalar family parameter as a float (KeyError when it is missing
+    without a default); a vector value is an input error."""
+    value = params.pop(key, *default)
+    if np.ndim(value) != 0:
+        raise ValueError(f"family parameter {key} takes one number, "
+                         f"got {np.size(value)} values")
+    return None if value is None else float(value)
+
+
 def builtin_family(name: str, **params) -> OperatorFamily:
     """Resolve a built-in family by name: st | scalar-free | diagonal-test."""
     if name == "scalar-free":
@@ -296,8 +308,8 @@ def builtin_family(name: str, **params) -> OperatorFamily:
     if name == "st":
         from .st_family import StParams, st_family
         try:
-            p = StParams(float(params.pop("s")), float(params.pop("t")),
-                         float(params.pop("alpha", 0.6)))
+            p = StParams(_pop_scalar(params, "s"), _pop_scalar(params, "t"),
+                         _pop_scalar(params, "alpha", 0.6))
         except KeyError as exc:
             raise ValueError(f"st family needs parameter {exc}") from exc
         if params:
@@ -309,17 +321,16 @@ def builtin_family(name: str, **params) -> OperatorFamily:
             bdiag = params.pop("bdiag")
         except KeyError as exc:
             raise ValueError(f"diagonal-test needs parameter {exc}") from exc
-        aexp = float(params.pop("aexp", 0.0))
-        bexp = float(params.pop("bexp", 0.0))
-        edge = params.pop("edge_b", None)
+        aexp = _pop_scalar(params, "aexp", 0.0)
+        bexp = _pop_scalar(params, "bexp", 0.0)
+        edge = _pop_scalar(params, "edge_b", None)
         if params:
             raise ValueError(f"unknown diagonal-test parameters: {sorted(params)}")
         if np.isscalar(adiag):
             adiag = [adiag]
         if np.isscalar(bdiag):
             bdiag = [bdiag]
-        return diagonal_family(adiag, bdiag, aexp, bexp,
-                               edge_b=None if edge is None else float(edge))
+        return diagonal_family(adiag, bdiag, aexp, bexp, edge_b=edge)
     raise ValueError(f"unknown family {name!r} "
                      "(built-ins: st, scalar-free, diagonal-test)")
 

@@ -259,8 +259,9 @@ def reference_eigenpairs_below(trunc, b, tol=None):
 def reference_count_below(trunc, x):
     """The inertia count's full recurrence over all N blocks, with no early
     stop: counts below the 1-d shifts x as an int array, for d = 1 and 2 by
-    the library's closed forms and for d >= 3 by its batched Jacobi and LU,
-    with the same pivot nudges."""
+    the library's closed forms and for d >= 3 by its stacked hermitian_eig
+    and pivot-block LU (_lu_factor_stack, _lu_solve_stack), with the same
+    pivot nudges."""
     B, A = dl._unpack_blocks(trunc)
     x = np.asarray(x, dtype=float)
     bump = 1e-13 * np.maximum(dl.block_scale(B, A), np.abs(x))
@@ -318,35 +319,24 @@ def _full_count_d2(B, A, x, bump):
 
 
 def _full_count_general(B, A, x, bump):
-    N, d = B.shape[0], B.shape[1]
-    eye = np.eye(d)
-    xI = x[:, None, None] * eye
-    two_bump = (2.0 * bump)[:, None, None] * eye
+    N, d = B.shape[:2]
+    I = np.eye(d)
+    xI = x[:, None, None] * I
+    two_bump = (2.0 * bump)[:, None, None] * I
+    Ah = A.conj().transpose(0, 2, 1)
     neg = np.zeros(x.size, dtype=np.int64)
-    Dr = B[0].real - xI
-    Di = np.broadcast_to(B[0].imag, Dr.shape)
+    D = B[0] - xI
     for k in range(N):
-        Dr = 0.5 * (Dr + Dr.transpose(0, 2, 1))
-        Di = 0.5 * (Di - Di.transpose(0, 2, 1))
-        ev = dl._herm_eigvals_batched(Dr, Di)
+        D = 0.5 * (D + D.conj().transpose(0, 2, 1))
+        ev = dl.hermitian_eig(D).values
         neg += np.count_nonzero(ev < 0.0, axis=1)
         if k == N - 1:
             break
-        Dr = Dr + np.where((np.abs(ev).min(axis=1) < bump)[:, None, None],
-                           two_bump, 0.0)
-        Ar, Ai = A[k].real, A[k].imag
-        Yr, Yi, singular = dl._lu_solve_batched(Dr, Di, Ar, Ai)
+        D += np.where((np.abs(ev).min(axis=1) < bump)[:, None, None], two_bump, 0.0)
+        LU, perm, singular = dl._lu_factor_stack(D)
         if singular.any():
-            Dr[singular] += two_bump[singular]
-            Yr[singular], Yi[singular], _ = dl._lu_solve_batched(
-                Dr[singular], Di[singular], Ar, Ai)
-        Mr = np.zeros_like(Yr)
-        Mi = np.zeros_like(Yr)
-        for j in range(d):
-            hr, hi = Ar[j][None, :, None], -Ai[j][None, :, None]
-            yr, yi = Yr[:, j][:, None, :], Yi[:, j][:, None, :]
-            Mr = Mr + (hr * yr - hi * yi)
-            Mi = Mi + (hr * yi + hi * yr)
-        Dr = (B[k + 1].real - xI) - Mr
-        Di = B[k + 1].imag - Mi
+            D[singular] += two_bump[singular]
+            LU[singular], perm[singular], _ = dl._lu_factor_stack(D[singular])
+        Y = dl._lu_solve_stack(LU, perm, np.broadcast_to(A[k], D.shape).copy())
+        D = (B[k + 1] - xI) - Ah[k] @ Y
     return neg

@@ -454,6 +454,24 @@ class TestMalformedTable:
         assert f"missing '{key}'" in lines[0]
 
 
+class TestVectorScalarParameter:
+    @pytest.mark.parametrize("family,key", [
+        ("st:s=1;2,t=2", "s"),
+        ("st:s=2,t=2;3", "t"),
+        ("st:s=2,t=2,alpha=0.6;0.7", "alpha"),
+        ("diagonal-test:adiag=1,bdiag=2,aexp=1;2", "aexp"),
+        ("diagonal-test:adiag=1,bdiag=2,bexp=1;2", "bexp"),
+        ("diagonal-test:adiag=1,bdiag=2,edge_b=0;1", "edge_b"),
+    ])
+    def test_is_one_line_input_error(self, family, key, capsys):
+        code, _, err = run_cli(["green", "--family", family, "--lambda=-1", "--N=3"], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"parameter {key} takes one number" in lines[0]
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

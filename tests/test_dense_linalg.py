@@ -305,7 +305,7 @@ def complex_block_problem(seed, d, N):
     return Bs, As
 
 
-problems = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
+problems = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4]),
                      st.integers(1, 40))
 
 

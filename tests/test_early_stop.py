@@ -52,7 +52,7 @@ def assert_like_reference(blocks, xs, alone=True):
 
 class TestWellCorpus:
     @settings(deadline=None, max_examples=30)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.integers(1, 3))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4]), st.integers(1, 3))
     def test_stop_fires_and_counts_are_unchanged(self, seed, d, width):
         B, A = well_problem(seed, d, width)
         w = np.linalg.eigvalsh(dl.tridiag_apply((B, A), np.eye(B.shape[0] * d)))

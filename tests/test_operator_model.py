@@ -267,6 +267,13 @@ class TestFamilyConstruction:
                            match=f"malformed family table: block record 1 missing '{key}'"):
             table_family({"dim": 1, "blocks": [rec]})
 
+    def test_table_family_repeated_index(self):
+        # a second record for n = 1 must not silently replace the first
+        with pytest.raises(ValueError, match="repeats block n=1"):
+            table_family({"dim": 1, "blocks": [
+                {"n": 1, "A": [1], "B": [-5]}, {"n": 2, "A": [1], "B": [0]},
+                {"n": 1, "A": [1], "B": [3]}]})
+
     def test_table_family_bad_shape(self):
         with pytest.raises(ValueError, match="entries"):
             table_family({"dim": 2, "blocks": [{"n": 1, "A": [1], "B": [0]}]})
