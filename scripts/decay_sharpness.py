@@ -12,8 +12,8 @@ import argparse
 
 import numpy as np
 
-from blockjacobi import (BoundParams, StParams, gamma_rate, scalar_envelope,
-                         st_family, verify_green_decay)
+from blockjacobi import (BoundParams, StParams, assemble_truncation, gamma_rate,
+                         scalar_envelope, st_family, verify_green_decay)
 
 
 def main() -> int:
@@ -30,10 +30,11 @@ def main() -> int:
           f"{'ratio':>7} {'all_pass':>8}")
     for alpha in (float(a) for a in args.alphas.split(",")):
         fam = st_family(StParams(2.0, 2.0, alpha))
+        trunc = assemble_truncation(fam, args.N)
         for lam in (float(v) for v in args.lambdas.split(",")):
             p = BoundParams(lam=lam, b=0.0, delta=1.0, eps=0.1)
             rep = verify_green_decay(fam, p, N=args.N, k=1)
-            S = scalar_envelope(fam, p, args.N).cumulative
+            S = scalar_envelope(trunc, p).cumulative
             rates = [-np.log(rep.measured[n - 1]) / S[n - 1]
                      for n in range(lo, hi + 1)]
             emp = float(np.mean(rates))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dense_linalg import (abs_matrix, hermitian_eig, psd_matfunc, spectral_norm,
                            vector_norm)
-from .operator_model import OperatorFamily, block_entries, _offdiag_stack
+from .operator_model import Truncation
 
 __all__ = [
     "BoundParams",
@@ -162,12 +162,11 @@ class DecayEnvelope:
         return math.exp(self.log_bound(j, k))
 
 
-def scalar_envelope(family: OperatorFamily, p: BoundParams, N: int) -> DecayEnvelope:
-    """Scalar-norm envelope: S_m = sum_{k<m} phi_delta(||A_k||)."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    S = np.zeros(N)
-    norms = spectral_norm(_offdiag_stack(family, N - 1)).tolist()
+def scalar_envelope(trunc: Truncation, p: BoundParams) -> DecayEnvelope:
+    """Scalar-norm envelope over the truncation's couplings:
+    S_m = sum_{k<m} phi_delta(||A_k||) for m = 1..N."""
+    S = np.zeros(trunc.nblocks)
+    norms = spectral_norm(trunc.offdiag_blocks).tolist()
     S[1:] = np.cumsum([phi_delta(a, p.delta) for a in norms])
     return DecayEnvelope(gamma_rate(p), S, "scalar", p)
 
@@ -177,7 +176,7 @@ COMMUTATION_TOL = 1e-10
 
 
 class CommutationError(ValueError):
-    """The family is not pairwise commuting; names the offending pair."""
+    """The entries are not pairwise commuting; names the offending pair."""
 
     def __init__(self, first, second, norm, tol):
         self.first = first
@@ -187,28 +186,30 @@ class CommutationError(ValueError):
             f"commute: relative commutator norm {norm:.3e} > {tol:.0e}")
 
 
-def check_pairwise_commutation(family: OperatorFamily, N: int) -> None:
-    """Verify that {A_m, B_m, A_m^*} over m = 1..N commutes pairwise: each
-    commutator's Frobenius norm is at most COMMUTATION_TOL times the product
-    of the factor norms.
+def check_pairwise_commutation(trunc: Truncation) -> None:
+    """Verify that the truncation's entries A_1..A_{N-1}, their adjoints and
+    B_1..B_N commute pairwise: each commutator's Frobenius norm is at most
+    COMMUTATION_TOL times the product of the factor norms.  A_N is not an
+    entry: no N-block Green matrix uses it.
 
     A certificate decides first, in O(N d^4): with the nonzero entries
     normalized (x_a = X_a / ||X_a||_F) and E_i an orthonormal basis of their
     span (Gram-matrix eigenvectors above a relative cutoff), x_a = c_a E + r_a
     with ||r_a||_F <= rho, so ||[x_a, x_b]||_F <= max ||c_a||^2 ||K||_F
     + 4 rho + 6 rho^2 with K_ij = ||[E_i, E_j]||_F.  Below COMMUTATION_TOL / 2
-    (the rest is slack for the scan's rounding) the family passes.  Otherwise,
+    (the rest is slack for the scan's rounding) the entries pass.  Otherwise,
     or for a largest entry norm outside [1e-100, 1e100], the exact scan
-    raises for the first violating pair (lexicographic); it compares each
-    unordered pair once, as the violation set is symmetric.
+    raises for the first violating pair in the order (A_1, B_1, A_1^*, A_2,
+    ..., B_N); it compares each unordered pair once, as the violation set is
+    symmetric.
     """
-    mats = []
-    for n in range(1, N + 1):
-        A, B = block_entries(family, n)
-        mats.extend([A, B, A.conj().T])
-    M = np.stack(mats)
+    A = trunc.offdiag_blocks
+    entries = {"A": A, "B": trunc.diag_blocks, "A*": A.conj().transpose(0, 2, 1)}
+    names = [(s, n) for n in range(1, trunc.nblocks + 1) for s in ("A", "B", "A*")
+             if s == "B" or n < trunc.nblocks]
+    M = np.stack([entries[s][n - 1] for s, n in names])
     if not _commutation_certified(M):
-        _commutation_scan(M, [(s, n) for n in range(1, N + 1) for s in ("A", "B", "A*")])
+        _commutation_scan(M, names)
 
 
 def _commutation_certified(M) -> bool:
@@ -263,22 +264,23 @@ def _phi_partial_sums(offdiag_blocks, d: int, delta: float) -> np.ndarray:
     return np.cumsum(np.concatenate([np.zeros((1, d, d), np.complex128), phis]), axis=0)
 
 
-def operator_envelope(family: OperatorFamily, p: BoundParams, N: int) -> list:
-    """Commuting-refinement weights W_m = exp(gamma sum_{k<m} phi_delta(|A_k|)).
+def operator_envelope(trunc: Truncation, p: BoundParams) -> list:
+    """Commuting-refinement weights W_m = exp(gamma sum_{k<m} phi_delta(|A_k|))
+    for m = 1..N.
 
-    W_1 = I.  Requires the pairwise commutation check to pass on the first
-    N indices.
+    W_1 = I.  Requires the pairwise commutation check to pass on the
+    truncation's entries.
     """
-    check_pairwise_commutation(family, N)
+    check_pairwise_commutation(trunc)
     gam = gamma_rate(p)
-    d = family.dim
-    partials = _phi_partial_sums(_offdiag_stack(family, N - 1), d, p.delta)
+    d = trunc.dim
+    partials = _phi_partial_sums(trunc.offdiag_blocks, d, p.delta)
     return [np.eye(d, dtype=np.complex128)] + \
         list(psd_matfunc(partials[1:], lambda x: math.exp(gam * x)))
 
 
-def qualified_constant(family: OperatorFamily, p: BoundParams, M: int,
-                       dist_sigma: float, min_eig_gap: float) -> float:
+def qualified_constant(p: BoundParams, M: int, dist_sigma: float,
+                       min_eig_gap: float) -> float:
     """Closed-form bound on the envelope constant:
 
     2 * (1 + (|b - min point-spectrum| / dist(lambda, spectrum))

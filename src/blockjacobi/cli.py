@@ -152,9 +152,10 @@ def _cmd_bounds(args) -> int:
              f"# command=bounds b={_fmt(b)} delta={_fmt(args.delta)} "
              f"eps={_fmt(args.eps)}"]
     if fam is not None and args.N is not None:
+        trunc = assemble_truncation(fam, args.N)
         lines.append("lambda,index,cumulative,envelope")
         for lam, gam, _, p in rows:
-            env = scalar_envelope(fam, p, args.N)
+            env = scalar_envelope(trunc, p)
             for m in range(1, args.N + 1):
                 lines.append(f"{_fmt_complex(lam)},{m},{_fmt(env.cumulative[m-1])},"
                              f"{_fmt(np.exp(-gam * env.cumulative[m-1]))}")
@@ -224,8 +225,7 @@ def _cmd_eigs(args) -> int:
             payload["dist"] = min(abs(pairs[0].value - pr.value)
                                   for pr in ppairs)
     if args.format == "json":
-        payload["offdiag_kernel_trivial"] = \
-            bool(all(offdiag_kernel_flags(fam, max(args.N - 1, 1))))
+        payload["offdiag_kernel_trivial"] = bool(all(offdiag_kernel_flags(trunc)))
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)

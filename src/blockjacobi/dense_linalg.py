@@ -358,8 +358,7 @@ class BlockTridiagLU:
     D_k = B_k - shift*I - A_{k-1}^* D_{k-1}^{-1} A_{k-1}.
     Every array is stacked over the blocks, with a leading shift axis (S,)
     for an array of shifts; a scalar shift is the S = 1 case without it.
-    pivot_blocks[k] = D_{k+1}, pivot_lu / pivot_perm its packed LU and row
-    order, cond_estimates[k] its condition estimate;
+    pivot_lu[k] / pivot_perm[k] are the packed LU and row order of D_{k+1};
     transform_blocks[k] = D_{k+1}^{-1} A_{k+1} (back substitution),
     forward_blocks[k] = A_{k+1}^* D_{k+1}^{-1} (forward substitution),
     both 0-based over k = 0..N-2.
@@ -368,12 +367,10 @@ class BlockTridiagLU:
     shift: complex | np.ndarray
     nblocks: int
     dim: int
-    pivot_blocks: np.ndarray
     pivot_lu: np.ndarray
     pivot_perm: np.ndarray
     transform_blocks: np.ndarray
     forward_blocks: np.ndarray
-    cond_estimates: np.ndarray
 
     def solve(self, rhs) -> np.ndarray:
         """Solve (T - shift*I) X = rhs for rhs of shape (N*d, m) or (N*d,),
@@ -433,9 +430,10 @@ def block_tridiag_factor(trunc, shift,
     the first failing shift in input order, naming its first pivot block
     whose condition estimate exceeds COND_LIMIT or is NaN before its first
     exactly singular pivot, else that singular pivot (structure-preserving:
-    no repair is attempted).  Without it, an exactly singular pivot is
-    nudged by 1e-13 * max(scale, |shift|) so that shifts arbitrarily close
-    to eigenvalues remain usable (inverse iteration relies on this).
+    no repair is attempted).  Without it, no estimate is taken, and an
+    exactly singular pivot is nudged by 1e-13 * max(scale, |shift|) so that
+    shifts arbitrarily close to eigenvalues remain usable (inverse iteration
+    relies on this).
     """
     diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
     N, d = diag_blocks.shape[:2]
@@ -471,22 +469,22 @@ def block_tridiag_factor(trunc, shift,
             if k < N - 1:
                 transforms[:, k] = inverses[:, k] @ offdiag_blocks[k]
                 D = (diag_blocks[k + 1] - sI) - Ah[k] @ transforms[:, k]
-        # singular shifts surface as pivots tiny against the problem scale,
-        # so the estimate is scale-relative (a bare sigma_max/sigma_min is
-        # blind to them for well-conditioned small blocks, e.g. any d = 1)
-        conds = np.full((S, N), np.nan)
-        for s, stop in enumerate(first_singular):
-            conds[s, :stop] = cond = np.maximum(spectral_norm(pivots[s, :stop]), scale[s]) \
+        # only a checked factor takes condition estimates.  Singular shifts
+        # surface as pivots tiny against the problem scale, so the estimate
+        # is scale-relative (a bare sigma_max/sigma_min is blind to them for
+        # well-conditioned small blocks, e.g. any d = 1)
+        for s, stop in enumerate(first_singular if check_conditioning else ()):
+            cond = np.maximum(spectral_norm(pivots[s, :stop]), scale[s]) \
                 * spectral_norm(inverses[s, :stop])
             bad = np.flatnonzero(~(cond <= COND_LIMIT))
-            if check_conditioning and bad.size:
+            if bad.size:
                 raise SingularShiftError(int(bad[0]) + 1, float(cond[bad[0]]))
             if stop < N:
                 raise SingularShiftError(int(stop) + 1, np.inf)
     forwards = Ah @ inverses[:, :-1]
     lead = slice(None) if np.ndim(shift) else 0
     return BlockTridiagLU(shifts[lead], N, d, *(a[lead] for a in (
-        pivots, factors, perms, transforms, forwards, conds)))
+        factors, perms, transforms, forwards)))
 
 
 def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
@@ -559,7 +557,8 @@ class _TailStop:
     def __init__(self, section, x, scale):
         # floor[k + 1] = g_{k+1}, the least floor of 0-based blocks k+1..N-1
         self.floor = np.minimum.accumulate(section.floors[::-1])[::-1].tolist()
-        self.norm2 = (section.norms * section.norms).tolist()
+        with np.errstate(over="ignore"):  # an inf square: the test never holds
+            self.norm2 = (section.norms * section.norms).tolist()
         self.reach = x + _STOP_MARGIN * scale
         self.top = float(self.reach.max())
 

@@ -389,9 +389,9 @@ def _qualified_metas(trunc: Truncation, points: list[BoundParams]):
         dist_sigma = min(abs(complex(p.lam) - mu) for mu in cands)
         meta = {"qualified_C": math.inf, "qualified_M": QUALIFIED_M}
         if dist_sigma > 0:
-            meta.update(qualified_C=qualified_constant(
-                trunc.family, p, QUALIFIED_M, dist_sigma, min_eig_gap),
-                dist_sigma=dist_sigma, min_eig_gap=min_eig_gap)
+            meta.update(qualified_C=qualified_constant(p, QUALIFIED_M, dist_sigma,
+                                                       min_eig_gap),
+                        dist_sigma=dist_sigma, min_eig_gap=min_eig_gap)
         yield meta
 
 
@@ -407,7 +407,7 @@ def verify_green_decay(family: OperatorFamily, p, N: int, k: int = 1,
     """
     points, single = _grid(p)
     trunc = assemble_truncation(family, N)
-    S = scalar_envelope(family, points[0], N).cumulative
+    S = scalar_envelope(trunc, points[0]).cumulative
     cols = green_column(trunc, [q.lam for q in points], k)
     reports = [_build_report(
         "green", family, q, N, k, col.norms(),
@@ -445,7 +445,7 @@ def verify_eigenvector_decay(family: OperatorFamily, p: BoundParams, N: int,
         raise EmptySpectrumError(f"no eigenvalue below b = {p.b} at N = {N}")
     idx, pair = _select_pair(pairs, which)
     p_eff = p.with_lambda(pair.value)
-    env = scalar_envelope(family, p_eff, N)
+    env = scalar_envelope(trunc, p_eff)
     log_env = -env.gamma * env.cumulative
     measured = pair.block_norms(trunc.dim)
     meta = {
@@ -454,7 +454,7 @@ def verify_eigenvector_decay(family: OperatorFamily, p: BoundParams, N: int,
         "boundary_suspect": pair.boundary_suspect,
         "n_below": len(pairs),
         # trivial-kernel hypothesis on the couplings: reported, not enforced
-        "offdiag_kernel_trivial": bool(all(offdiag_kernel_flags(family, N - 1))),
+        "offdiag_kernel_trivial": bool(all(offdiag_kernel_flags(trunc))),
     }
     return _build_report("eigenvector", family, p_eff, N, idx, measured,
                          log_env, calibration, 1, meta)
@@ -465,10 +465,11 @@ def verify_commuting_decay(family: OperatorFamily, p, N: int, k: int = 1,
     """Commuting-refinement check: the weighted norms
     ||exp(gamma * sum_{i=min..max-1} phi_delta(|A_i|)) G_{j,k}|| must stay
     bounded by a fitted constant (flat envelope).  p is one BoundParams or
-    a grid, as in verify_green_decay; the commutation check is made once."""
+    a grid, as in verify_green_decay; the commutation check is made once,
+    on the truncation's entries."""
     points, single = _grid(p)
-    check_pairwise_commutation(family, N)
     trunc = assemble_truncation(family, N)
+    check_pairwise_commutation(trunc)
     partials = _phi_partial_sums(trunc.offdiag_blocks, family.dim, points[0].delta)
     j = np.arange(1, N + 1)
     P = partials[np.maximum(j, k) - 1] - partials[np.minimum(j, k) - 1]

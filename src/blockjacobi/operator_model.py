@@ -168,22 +168,18 @@ def carleman_sum(family: OperatorFamily, N: int) -> float:
     partial sum is reported; no limit is claimed."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    norms = spectral_norm(_offdiag_stack(family, N)).tolist()
+    norms = spectral_norm(np.array([block_entries(family, n)[0]
+                                    for n in range(1, N + 1)])).tolist()
     if 0.0 in norms:
         raise ValueError(f"||A_{norms.index(0.0) + 1}|| = 0: Carleman term undefined")
     return float(np.cumsum(1.0 / np.array(norms))[-1])  # summed in index order
 
 
-def _offdiag_stack(family: OperatorFamily, N: int) -> np.ndarray:
-    """A_1..A_N as an (N, d, d) array, each read once through block_entries."""
-    return np.reshape([block_entries(family, n)[0] for n in range(1, N + 1)],
-                      (N, family.dim, family.dim))
-
-
-def offdiag_kernel_flags(family: OperatorFamily, N: int) -> list[bool]:
-    """True where A_n has numerically trivial kernel (smallest singular value
-    above 1e-12 * ||A_n||).  Reported, not enforced."""
-    A = _offdiag_stack(family, N)
+def offdiag_kernel_flags(trunc: Truncation) -> list[bool]:
+    """True where the coupling A_n, n = 1..N-1, of the truncation has
+    numerically trivial kernel (smallest singular value above 1e-12 *
+    ||A_n||).  Reported, not enforced."""
+    A = trunc.offdiag_blocks
     return [_sigma_min(An) > 1e-12 * nrm
             for An, nrm in zip(A, spectral_norm(A).tolist())]
 

@@ -129,7 +129,8 @@ def test_c05_green_decay_verification(green_report_st):
 
 def test_c06_sharpness_heuristic(green_report_st, st06):
     rep = green_report_st
-    env = scalar_envelope(st06, BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1), 300)
+    env = scalar_envelope(assemble_truncation(st06, 300),
+                          BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1))
     # delta = 1 <= min ||A_k|| = 1, so every step weight is k^(-alpha/2) exactly
     S = env.cumulative
     ratios = np.array([-np.log(rep.measured[n - 1]) / S[n - 1]
@@ -185,7 +186,7 @@ def test_c08_commuting_refinement():
         scalar_meas.append(sub_rep.measured)
         direction_ok.append(sub_rep.all_pass)
         # same direction extracted from the block run
-        env = scalar_envelope(sub, p, N)
+        env = scalar_envelope(assemble_truncation(sub, N), p)
         block_dir = np.array([abs(col2.blocks[j][comp, comp]) for j in range(N)])
         weighted = block_dir * np.exp(gam * env.cumulative)
         rel = np.abs(weighted - sub_rep.measured) / np.maximum(sub_rep.measured, 1e-300)
@@ -197,8 +198,8 @@ def test_c08_commuting_refinement():
     sum_ok = rel_sum[:270].max() <= 1e-9
 
     # operator weight dominates the scalar-norm weight at every index
-    weights = bj.operator_envelope(fam, p, N)
-    env_norm = scalar_envelope(fam, p, N)
+    weights = bj.operator_envelope(tr2, p)
+    env_norm = scalar_envelope(tr2, p)
     weight_ok = all(
         np.linalg.eigvalsh(W)[0] >= math.exp(gam * env_norm.cumulative[m]) * (1 - 1e-10)
         for m, W in enumerate(weights))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import (BoundParams, CommutationError, OperatorFamily, StParams,
-                         block_entries, check_pairwise_commutation,
+                         assemble_truncation, check_pairwise_commutation,
                          simplified_regime_params, diagonal_family, gamma_rate,
                          operator_envelope, parse_family_spec, phi_delta, psi,
                          psi_inv, qualified_constant, scalar_envelope,
@@ -145,26 +145,26 @@ class TestSimplifiedRate:
 
 class TestScalarEnvelope:
     def test_scalar_free_cumulative(self):
-        env = scalar_envelope(scalar_free_family(),
-                              BoundParams(lam=-3.0, b=-2.0), 6)
+        env = scalar_envelope(assemble_truncation(scalar_free_family(), 6),
+                              BoundParams(lam=-3.0, b=-2.0))
         assert np.allclose(env.cumulative, np.arange(6))
 
     def test_st_alpha06_s4(self):
-        env = scalar_envelope(st_family(StParams(2, 2, 0.6)),
-                              BoundParams(lam=-1.0, b=0.0), 4)
+        env = scalar_envelope(assemble_truncation(st_family(StParams(2, 2, 0.6)), 4),
+                              BoundParams(lam=-1.0, b=0.0))
         want = 1 + 2 ** -0.3 + 3 ** -0.3
         assert env.cumulative[3] == pytest.approx(want, abs=1e-12)
         assert env.cumulative[3] == pytest.approx(2.5314754896811, abs=1e-10)
 
     def test_same_index_bound_is_one(self):
-        env = scalar_envelope(scalar_free_family(),
-                              BoundParams(lam=-3.0, b=-2.0), 5)
+        env = scalar_envelope(assemble_truncation(scalar_free_family(), 5),
+                              BoundParams(lam=-3.0, b=-2.0))
         assert env.bound(3, 3) == 1.0
 
     def test_increments_capped_by_delta(self):
         fam = diagonal_family([0.01], [0.0])  # tiny coupling: phi = 1/sqrt(delta)
         p = BoundParams(lam=-1.0, b=0.0, delta=0.25)
-        env = scalar_envelope(fam, p, 10)
+        env = scalar_envelope(assemble_truncation(fam, 10), p)
         inc = np.diff(env.cumulative)
         assert np.all(inc <= 1 / math.sqrt(p.delta) + 1e-15)
         assert np.all(inc >= 0)
@@ -174,29 +174,31 @@ class TestOperatorEnvelope:
     def test_antidiagonal_reduces_to_scalar(self):
         fam = st_family(StParams(2, 2, 0.6))
         p = BoundParams(lam=-1.0, b=0.0)
-        weights = operator_envelope(fam, p, 6)
-        env = scalar_envelope(fam, p, 6)
+        tr = assemble_truncation(fam, 6)
+        weights = operator_envelope(tr, p)
+        env = scalar_envelope(tr, p)
         for m, W in enumerate(weights, start=1):
             scalar = math.exp(env.gamma * env.cumulative[m - 1])
             assert np.abs(W - scalar * np.eye(2)).max() <= 1e-10 * scalar
 
     def test_first_weight_is_identity(self):
         fam = diagonal_family([1, 4], [0, 0])
-        weights = operator_envelope(fam, BoundParams(lam=-1.0, b=0.0), 3)
+        weights = operator_envelope(assemble_truncation(fam, 3), BoundParams(lam=-1.0, b=0.0))
         assert np.array_equal(weights[0], np.eye(2))
 
     def test_diagonal_entrywise_weight(self):
         # A_k = diag(1, 4), delta 1: phi values 1 and 1/2 per step
         fam = diagonal_family([1.0, 4.0], [0.0, 0.0])
         p = BoundParams(lam=-math.e / 0.9, b=0.0)  # gamma = 1
-        W2 = operator_envelope(fam, p, 2)[1]
+        W2 = operator_envelope(assemble_truncation(fam, 2), p)[1]
         assert np.allclose(np.diag(W2).real, [math.e, math.exp(0.5)], rtol=1e-12)
 
     def test_min_eig_dominates_scalar_weight(self):
         fam = diagonal_family([1.0, 4.0], [0.0, 0.0], aexp=0.3)
         p = BoundParams(lam=-2.0, b=0.0)
-        weights = operator_envelope(fam, p, 8)
-        env = scalar_envelope(fam, p, 8)
+        tr = assemble_truncation(fam, 8)
+        weights = operator_envelope(tr, p)
+        env = scalar_envelope(tr, p)
         for m, W in enumerate(weights, start=1):
             lo = np.linalg.eigvalsh(W)[0]
             scalar = math.exp(env.gamma * env.cumulative[m - 1])
@@ -205,12 +207,12 @@ class TestOperatorEnvelope:
     def test_noncommuting_family_rejected(self):
         fam = st_family(StParams(1, 4, 0.5))  # s != t: A and B do not commute
         with pytest.raises(CommutationError, match="do not commute"):
-            operator_envelope(fam, BoundParams(lam=-1.0, b=0.0), 4)
+            operator_envelope(assemble_truncation(fam, 4), BoundParams(lam=-1.0, b=0.0))
 
     def test_commutation_check_names_pair(self):
         fam = st_family(StParams(1, 4, 0.5))
         with pytest.raises(CommutationError) as err:
-            check_pairwise_commutation(fam, 3)
+            check_pairwise_commutation(assemble_truncation(fam, 3))
         assert err.value.first[0] in ("A", "B", "A*")
         assert isinstance(err.value.first[1], int)
 
@@ -223,24 +225,43 @@ class TestOperatorEnvelope:
 
         fam = OperatorFamily(2, base.offdiag, diag)
         with pytest.raises(CommutationError) as err:
-            check_pairwise_commutation(fam, 300)
+            check_pairwise_commutation(assemble_truncation(fam, 300))
         assert (err.value.first, err.value.second) == (("A", 1), ("B", 200))
         assert str(err.value) == ("entries A_1 and B_200 do not commute: "
                                   "relative commutator norm 4.472e-03 > 1e-10")
 
     def test_commuting_family_accepted(self):
-        check_pairwise_commutation(diagonal_family([1, 2], [3, 4], 0.5, 0.5), 12)
-        check_pairwise_commutation(st_family(StParams(2, 2, 0.6)), 12)
+        check_pairwise_commutation(assemble_truncation(
+            diagonal_family([1, 2], [3, 4], 0.5, 0.5), 12))
+        check_pairwise_commutation(assemble_truncation(st_family(StParams(2, 2, 0.6)), 12))
+
+    def test_last_coupling_is_not_an_entry(self):
+        # A_N lies outside the N-block truncation: a family that stops
+        # commuting only at A_10 passes at N = 10 and fails at N = 11
+        base = diagonal_family([1.0, 2.0], [3.0, 4.0])
+        fam = OperatorFamily(2, lambda n: base.offdiag(n) + (
+            np.array([[0.0, 1.0], [0.0, 0.0]]) if n == 10 else 0.0), base.diag)
+        check_pairwise_commutation(assemble_truncation(fam, 10))
+        with pytest.raises(CommutationError) as err:
+            check_pairwise_commutation(assemble_truncation(fam, 11))
+        assert (err.value.first, err.value.second) == (("A", 1), ("A", 10))
 
 
 def entry_stack(family, N):
-    """A_1, B_1, A_1*, ..., A_N, B_N, A_N* as the commutation check reads
-    them, with their names."""
-    mats = []
+    """A_1, B_1, A_1*, ..., A_{N-1}*, B_N: the entries of the N-block
+    truncation as the commutation check reads them, with their names."""
+    tr = assemble_truncation(family, N)
+    mats, names = [], []
     for n in range(1, N + 1):
-        A, B = block_entries(family, n)
-        mats.extend([A, B, A.conj().T])
-    return np.stack(mats), [(s, n) for n in range(1, N + 1) for s in ("A", "B", "A*")]
+        B = tr.diag_blocks[n - 1]
+        if n < N:
+            A = tr.offdiag_blocks[n - 1]
+            mats.extend([A, B, A.conj().T])
+            names.extend([("A", n), ("B", n), ("A*", n)])
+        else:
+            mats.append(B)
+            names.append(("B", n))
+    return np.stack(mats), names
 
 
 @st.composite
@@ -290,14 +311,14 @@ class TestCommutationCertificate:
             raise AssertionError("the certificate should have decided")
 
         monkeypatch.setattr(bounds, "_commutation_scan", no_scan)
-        check_pairwise_commutation(parse_family_spec(spec), 300)
+        check_pairwise_commutation(assemble_truncation(parse_family_spec(spec), 300))
 
     def test_scalar_free_zero_diagonal_gives_no_warning(self):
         M, _ = entry_stack(scalar_free_family(), 300)  # every B_n = 0
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             assert bounds._commutation_certified(M)
-            check_pairwise_commutation(scalar_free_family(), 300)
+            check_pairwise_commutation(assemble_truncation(scalar_free_family(), 300))
 
     def test_all_zero_and_extreme_scales(self):
         assert bounds._commutation_certified(np.zeros((6, 2, 2), complex))
@@ -311,7 +332,7 @@ class TestCommutationCertificate:
         with pytest.raises(CommutationError) as want:
             bounds._commutation_scan(M, names)
         with pytest.raises(CommutationError) as got:
-            check_pairwise_commutation(st_family(StParams(1, 4, 0.5)), 40)
+            check_pairwise_commutation(assemble_truncation(st_family(StParams(1, 4, 0.5)), 40))
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
@@ -322,9 +343,9 @@ class TestCommutationCertificate:
         scaled = OperatorFamily(2, lambda n: scale * fam.offdiag(n),
                                 lambda n: scale * fam.diag(n))
         with pytest.raises(CommutationError) as want:
-            check_pairwise_commutation(fam, 10)
+            check_pairwise_commutation(assemble_truncation(fam, 10))
         with pytest.raises(CommutationError) as got:
-            check_pairwise_commutation(scaled, 10)
+            check_pairwise_commutation(assemble_truncation(scaled, 10))
         assert (got.value.first, got.value.second) == (want.value.first, want.value.second)
         assert str(got.value) == str(want.value)
         assert str(want.value) == ("entries A_1 and B_1 do not commute: "
@@ -335,7 +356,7 @@ class TestCommutationCertificate:
         fam = OperatorFamily(2, lambda n: base.offdiag(n) + (
             np.array([[np.nan, 0.0], [0.0, 0.0]]) if n == 5 else 0.0), base.diag)
         with pytest.raises(ValueError, match=r"offdiag\(5\) has non-finite entries"):
-            check_pairwise_commutation(fam, 10)
+            check_pairwise_commutation(assemble_truncation(fam, 10))
         with pytest.raises(ValueError, match=r"offdiag\(5\) has non-finite entries"):
             verify_commuting_decay(fam, BoundParams(lam=-1.0, b=0.0), 40)
 
@@ -343,21 +364,18 @@ class TestCommutationCertificate:
 class TestQualifiedConstant:
     def test_no_spectrum_below_collapses(self):
         p = BoundParams(lam=-1.0, b=0.0, eps=0.1)
-        val = qualified_constant(scalar_free_family(), p, M=5,
-                                 dist_sigma=1.0, min_eig_gap=0.0)
+        val = qualified_constant(p, M=5, dist_sigma=1.0, min_eig_gap=0.0)
         assert val == pytest.approx(2.0 / (0.1 * 1.0))
 
     def test_zero_cutoff_collapses_exponential(self):
         p = BoundParams(lam=-1.0, b=0.0, eps=0.1)
         ratio = 0.5
-        val = qualified_constant(scalar_free_family(), p, M=0,
-                                 dist_sigma=1.0, min_eig_gap=ratio)
+        val = qualified_constant(p, M=0, dist_sigma=1.0, min_eig_gap=ratio)
         assert val == pytest.approx(2.0 * (1 + ratio) / 0.1)
 
     def test_monotone_in_cutoff(self):
-        fam = st_family(StParams(2, 2, 0.6))
         p = BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1)
-        vals = [qualified_constant(fam, p, M=M, dist_sigma=1.0, min_eig_gap=0.5)
+        vals = [qualified_constant(p, M=M, dist_sigma=1.0, min_eig_gap=0.5)
                 for M in (1, 5, 10, 20)]
         assert all(v > 0 and np.isfinite(v) for v in vals)
         assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))
@@ -365,11 +383,9 @@ class TestQualifiedConstant:
     def test_rejects_bad_inputs(self):
         p = BoundParams(lam=-1.0, b=0.0)
         with pytest.raises(ValueError):
-            qualified_constant(scalar_free_family(), p, M=-1,
-                               dist_sigma=1.0, min_eig_gap=0.0)
+            qualified_constant(p, M=-1, dist_sigma=1.0, min_eig_gap=0.0)
         with pytest.raises(ValueError):
-            qualified_constant(scalar_free_family(), p, M=1,
-                               dist_sigma=0.0, min_eig_gap=0.0)
+            qualified_constant(p, M=1, dist_sigma=0.0, min_eig_gap=0.0)
 
 
 class TestSpectralNormOfFamilies:

@@ -194,15 +194,15 @@ class TestEigsKernelFlags:
         calls = []
         original = cli.offdiag_kernel_flags
 
-        def counting(fam, n):
-            calls.append(n)
-            return original(fam, n)
+        def counting(trunc):
+            calls.append(trunc.nblocks)
+            return original(trunc)
 
         monkeypatch.setattr(cli, "offdiag_kernel_flags", counting)
         code, csv_out, _ = run_cli(argv, capsys)
         assert code == 0 and calls == []
         code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
-        assert code == 0 and calls == [self.N - 1]
+        assert code == 0 and calls == [self.N]
         payload = json.loads(json_out)
         assert sorted(payload) == ["N", "b", "dist", "eigenvalues",
                                    "offdiag_kernel_trivial", "perturbed_eigenvalues"]
@@ -223,6 +223,15 @@ class TestEigsKernelFlags:
         tails = [r.split(",")[3] for r in csv_out.splitlines()[3:]]
         assert len(tails) == 2
         assert tails == [cli._fmt(pr.block_norms(2)[-1]) for pr in pairs]
+
+    def test_flag_reads_only_the_truncation_couplings(self, capsys):
+        # A_n = 0 has a nontrivial kernel, but one block has no coupling
+        argv = ["eigs", "--family", "diagonal-test:adiag=0,bdiag=-1", "--b=0",
+                "--format", "json"]
+        for N, trivial in ((1, True), (2, False)):
+            code, out, _ = run_cli(argv + [f"--N={N}"], capsys)
+            assert code == 0
+            assert json.loads(out)["offdiag_kernel_trivial"] is trivial
 
 
 class TestGreenAtEigenvalue:

@@ -235,18 +235,17 @@ class TestBlockTridiagSolve:
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_factorization_recurrence(self):
-        # stored pivots reproduce D_k = B_k - lam I - A_{k-1}^* D_{k-1}^{-1} A_{k-1}
+        # stored transforms D_k^{-1} A_k follow the pivot recurrence
+        # D_k = B_k - lam I - A_{k-1}^* D_{k-1}^{-1} A_{k-1}
         rng = np.random.default_rng(31)
         Bs, As = random_block_problem(rng, 2, 8)
         lam = -3.0
         fac = dl.block_tridiag_factor((Bs, As), lam)
         D = Bs[0] - lam * np.eye(2)
-        assert np.abs(fac.pivot_blocks[0] - D).max() < 1e-12
-        for k in range(1, 8):
-            D = Bs[k] - lam * np.eye(2) \
-                - As[k - 1].conj().T @ np.linalg.solve(D, As[k - 1])
-            assert np.abs(fac.pivot_blocks[k] - D).max() <= 1e-10 * max(1, np.abs(D).max())
-            D = fac.pivot_blocks[k]
+        for k in range(7):
+            T = np.linalg.solve(D, As[k])
+            assert np.abs(fac.transform_blocks[k] - T).max() <= 1e-10 * max(1, np.abs(T).max())
+            D = Bs[k + 1] - lam * np.eye(2) - As[k].conj().T @ fac.transform_blocks[k]
 
     def test_singular_shift_flagged_with_block_index(self):
         Bs = [np.eye(2, dtype=complex) for _ in range(5)]
@@ -255,12 +254,16 @@ class TestBlockTridiagSolve:
             dl.block_tridiag_solve((Bs, As), 1.0, np.zeros((10, 1)))
         assert err.value.block_index == 1
 
-    def test_conditioning_estimates_recorded(self):
+    def test_conditioning_estimates_recorded(self, monkeypatch):
+        # every estimate lies in [1, COND_LIMIT]; a limit of 1 names pivot 1
         rng = np.random.default_rng(37)
         Bs, As = random_block_problem(rng, 2, 10)
-        fac = dl.block_tridiag_factor((Bs, As), -6.0)
-        assert np.all(fac.cond_estimates >= 1.0)
-        assert np.all(fac.cond_estimates < 1e12)
+        dl.block_tridiag_factor((Bs, As), -6.0)
+        monkeypatch.setattr(dl, "COND_LIMIT", 1.0)
+        with pytest.raises(dl.SingularShiftError) as err:
+            dl.block_tridiag_factor((Bs, As), -6.0)
+        assert err.value.block_index == 1 and 1.0 < err.value.cond < 1e12
+        dl.block_tridiag_factor((Bs, As), -6.0, check_conditioning=False)
 
 
 class TestInertiaBisection:

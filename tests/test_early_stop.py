@@ -4,6 +4,8 @@ full recurrence in reference_kernels, alone or in a batch; on wells a few
 blocks deep the stop must fire, and with a negative pivot at the last block
 it must not."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,23 @@ class TestWellCorpus:
         xs = np.array([-4.0, 0.0, 2.0])
         assert assert_like_reference((B, A), xs) == N
         assert dl.tridiag_count_below((B, A), 0.0) == d
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_huge_couplings_count_without_overflow_warning(self, scale):
+        # ||A_k||^2 overflows to inf above ~1e154: the stop test then never
+        # holds, and squaring must not warn
+        rng = np.random.default_rng(12)
+        d, N = 3, 12
+        M = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
+        B = M + M.conj().transpose(0, 2, 1)
+        A = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
+        w = np.linalg.eigvalsh(dl.tridiag_apply((B, A), np.eye(N * d)))
+        B, A, xs = scale * B, scale * A, scale * 0.5 * (w[1:] + w[:-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dl.tridiag_count_below((B, A), xs)
+        assert got.tolist() == list(range(1, N * d))
+        assert np.array_equal(got, reference_count_below((B, A), xs))
 
 
 class TestWorkloadQueries:

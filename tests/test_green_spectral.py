@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from blockjacobi import (BoundParams, EmptySpectrumError, OperatorFamily,
                          SingularShiftError, assemble_truncation,
                          block_entries, block_tridiag_factor, diagonal_family, eigenpairs_below,
-                         gamma_rate, green_column, perturbed_truncation,
-                         scalar_free_family, spectral_norm,
+                         gamma_rate, green_column, parse_family_spec,
+                         perturbed_truncation, scalar_free_family, spectral_norm,
                          tridiag_count_below, tridiag_kth_eigenvalue,
                          verify_commuting_decay, verify_eigenvector_decay,
                          verify_green_decay)
 
-from blockjacobi import dense_linalg, green_spectral
+from blockjacobi import cli, dense_linalg, green_spectral
 from blockjacobi.green_spectral import perturbed_family
 
 from conftest import random_family, shift_first_block
@@ -456,6 +457,53 @@ class TestVerifyGrid:
         assert calls["_multisection"] == 1
         assert calls.get("tridiag_kth_eigenvalue", 0) == 0
         assert calls["green_column"] == 1  # one shift-batched call per grid
+
+
+def counting_family(family: OperatorFamily):
+    """family with rules that count their calls, and the counts."""
+    calls = {"offdiag": 0, "diag": 0}
+
+    def counted(name):
+        rule = getattr(family, name)
+
+        def call(n):
+            calls[name] += 1
+            return rule(n)
+        return call
+
+    return dataclasses.replace(family, offdiag=counted("offdiag"),
+                               diag=counted("diag")), calls
+
+
+class TestFamilyReadOnce:
+    """Each command reads every block rule once per block: what runs after
+    assembly reads the truncation, not the family."""
+
+    N = 40
+    P = BoundParams(lam=-1.0, b=0.0)
+    DIAG = "diagonal-test:adiag=1;4,bdiag=2;8,aexp=0.6,bexp=0.6"
+
+    def test_verify_modes(self, st_critical, st_deep):
+        for run, family in ((verify_green_decay, st_critical),
+                            (verify_commuting_decay, parse_family_spec(self.DIAG)),
+                            (verify_eigenvector_decay, st_deep)):
+            fam, calls = counting_family(family)
+            run(fam, self.P, self.N)
+            assert calls == {"offdiag": self.N, "diag": self.N}, run.__name__
+
+    def test_cli_bounds_envelope_table(self, monkeypatch, tmp_path, capsys):
+        counts = []
+
+        def parse(spec):
+            fam, calls = counting_family(parse_family_spec(spec))
+            counts.append(calls)
+            return fam
+        monkeypatch.setattr(cli, "parse_family_spec", parse)
+        code = cli.main(["bounds", "--family", "st:s=2,t=2", f"--N={self.N}",
+                         "--lambda=-2:-1:0.5", "--out", str(tmp_path / "b.csv")])
+        capsys.readouterr()
+        assert code == 0
+        assert counts == [{"offdiag": self.N, "diag": self.N}]
 
 
 class TestSturmHelpers:

@@ -187,17 +187,17 @@ class TestCarlemanSum:
 
 class TestKernelFlags:
     def test_st_family_all_trivial_kernel(self):
-        flags = offdiag_kernel_flags(st_family(StParams(2, 2, 0.6)), 5)
+        flags = offdiag_kernel_flags(assemble_truncation(st_family(StParams(2, 2, 0.6)), 6))
         assert flags == [True] * 5
 
     def test_singular_offdiag_flagged(self):
         fam = diagonal_family([1.0, 0.0], [1.0, 1.0])
-        assert offdiag_kernel_flags(fam, 2) == [False, False]
+        assert offdiag_kernel_flags(assemble_truncation(fam, 3)) == [False, False]
 
     def test_rank_one_offdiag_flagged(self):
         A = np.outer([0.2, 0.7], [0.2, 0.9])
         fam = OperatorFamily(2, lambda n: A, lambda n: np.eye(2))
-        assert offdiag_kernel_flags(fam, 1) == [False]
+        assert offdiag_kernel_flags(assemble_truncation(fam, 2)) == [False]
 
     def test_random_complex_rank_one_flagged(self):
         rng = np.random.default_rng(5)
@@ -206,7 +206,7 @@ class TestKernelFlags:
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             A = np.outer(u, v)
             fam = OperatorFamily(2, lambda n: A, lambda n: np.eye(2))
-            assert offdiag_kernel_flags(fam, 1) == [False]
+            assert offdiag_kernel_flags(assemble_truncation(fam, 2)) == [False]
 
 
 class TestFamilyConstruction:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import dense_linalg as dl
-from reference_kernels import lu_solve_small, mid_chain_problem, reference_hermitian_eig
+from reference_kernels import mid_chain_problem, reference_factor, reference_hermitian_eig
 
 
 def reference_spectral_norm(A) -> float:
@@ -366,53 +366,82 @@ class TestStackedVectorNorm:
         assert same_bits(rows[-1], dl.vector_norm(v[-2:]))
 
 
-def reference_conds(fac, scale):
-    """The per-pivot condition estimate the factor used to compute in its
-    elimination loop."""
-    I = np.eye(fac.dim, dtype=np.complex128)
-    out = []
-    for D, lu, perm in zip(fac.pivot_blocks, fac.pivot_lu, fac.pivot_perm):
-        Dinv = lu_solve_small((lu, perm), I)
-        out.append(max(reference_spectral_norm(D), scale) * reference_spectral_norm(Dinv))
-    return np.array(out)
+def reference_conds(ref, scale):
+    """The per-pivot condition estimates of a reference_factor result, from
+    the per-matrix reference norm."""
+    return np.array([max(reference_spectral_norm(D), scale) * reference_spectral_norm(Dinv)
+                     for D, Dinv in zip(ref["pivots"], ref["inverses"])])
 
 
 def problem_scale(B, A, shift):
     return max(dl.block_scale(B, A), abs(shift))
 
 
+def assert_like_reference_factor(fac, ref):
+    for name, key in (("pivot_lu", "lu"), ("pivot_perm", "perm"),
+                      ("transform_blocks", "transforms"), ("forward_blocks", "forwards")):
+        assert same_bits(getattr(fac, name), ref[key]), name
+
+
+def assert_estimates_like_reference(blocks, shift):
+    """A checked factor's estimates are the reference's bit for bit: with
+    the limit just below each reference estimate, the factor raises for the
+    first pivot whose estimate exceeds it, carrying that estimate."""
+    cond = reference_conds(reference_factor(*blocks, shift, False), problem_scale(*blocks, shift))
+    with pytest.MonkeyPatch.context() as mp:
+        for c in cond:
+            mp.setattr(dl, "COND_LIMIT", np.nextafter(c, 0.0))
+            first = int(np.flatnonzero(cond > dl.COND_LIMIT)[0])
+            with pytest.raises(dl.SingularShiftError) as err:
+                dl.block_tridiag_factor(blocks, shift)
+            assert err.value.block_index == first + 1
+            assert same_bits(err.value.cond, cond[first])
+
+
+def no_norms(*args):
+    raise AssertionError("an unchecked factor takes no condition estimate")
+
+
 class TestConditionEstimates:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("check", [True, False])
-    def test_equal_per_pivot_reference(self, d, check):
+    def test_equal_per_pivot_reference(self, d, check, monkeypatch):
         rng = np.random.default_rng(70 + d)
         N = 30
         B = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
         B = B + B.conj().transpose(0, 2, 1)
         A = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
         shift = -20.0 - 1.0j
+        ref = reference_factor(B, A, shift, check)
+        if check:
+            assert_estimates_like_reference((B, A), shift)
+        else:
+            monkeypatch.setattr(dl, "spectral_norm", no_norms)
         fac = dl.block_tridiag_factor((B, A), shift, check_conditioning=check)
-        assert same_bits(fac.cond_estimates, reference_conds(fac, problem_scale(B, A, shift)))
+        assert_like_reference_factor(fac, ref)
 
-    def test_st_truncation_and_nudged_unchecked_factor(self):
+    def test_st_truncation_and_nudged_unchecked_factor(self, monkeypatch):
         from blockjacobi import assemble_truncation, parse_family_spec
         tr = assemble_truncation(parse_family_spec("st:s=2,t=2,alpha=0.6"), 200)
         B, A = tr.diag_blocks, tr.offdiag_blocks
         for shift in (-1.0, -3.5):
-            fac = dl.block_tridiag_factor(tr, shift)
-            assert same_bits(fac.cond_estimates, reference_conds(fac, problem_scale(B, A, shift)))
+            assert_estimates_like_reference((B, A), shift)
+            assert_like_reference_factor(dl.block_tridiag_factor(tr, shift),
+                                         reference_factor(B, A, shift))
         # an exactly singular first pivot is nudged when unchecked
         Bs = np.array([np.diag([1.0, 2.0])] * 4, dtype=complex)
         As = np.array([0.5 * np.eye(2)] * 3, dtype=complex)
+        ref = reference_factor(Bs, As, 1.0, False)
+        monkeypatch.setattr(dl, "spectral_norm", no_norms)
         fac = dl.block_tridiag_factor((Bs, As), 1.0, check_conditioning=False)
-        assert fac.pivot_blocks[0][0, 0] != 0.0
-        assert same_bits(fac.cond_estimates, reference_conds(fac, problem_scale(Bs, As, 1.0)))
+        assert fac.pivot_lu[0][0, 0] != 0.0
+        assert_like_reference_factor(fac, ref)
 
 
 class TestDeferredConditionCheck:
     def test_mid_chain_pivot_named_with_per_pivot_message(self):
         B, A = mid_chain_problem()
-        ref = dl.block_tridiag_factor((B, A), 0.0, check_conditioning=False)
+        ref = reference_factor(B, A, 0.0, check_conditioning=False)
         cond = reference_conds(ref, problem_scale(B, A, 0.0))
         assert cond[:2].max() <= dl.COND_LIMIT < cond[2]
         with pytest.raises(dl.SingularShiftError) as err:
