@@ -28,13 +28,12 @@ def main() -> int:
 
     print(f"{'alpha':>6} {'lambda':>8} {'gamma':>9} {'empirical':>10} "
           f"{'ratio':>7} {'all_pass':>8}")
+    lams = [float(v) for v in args.lambdas.split(",")]
     for alpha in (float(a) for a in args.alphas.split(",")):
-        fam = st_family(StParams(2.0, 2.0, alpha))
-        trunc = assemble_truncation(fam, args.N)
-        for lam in (float(v) for v in args.lambdas.split(",")):
-            p = BoundParams(lam=lam, b=0.0, delta=1.0, eps=0.1)
-            rep = verify_green_decay(fam, p, N=args.N, k=1)
-            S = scalar_envelope(trunc, p).cumulative
+        trunc = assemble_truncation(st_family(StParams(2.0, 2.0, alpha)), args.N)
+        grid = [BoundParams(lam=lam, b=0.0, delta=1.0, eps=0.1) for lam in lams]
+        S = scalar_envelope(trunc, grid[0]).cumulative
+        for lam, p, rep in zip(lams, grid, verify_green_decay(trunc, grid)):
             rates = [-np.log(rep.measured[n - 1]) / S[n - 1]
                      for n in range(lo, hi + 1)]
             emp = float(np.mean(rates))

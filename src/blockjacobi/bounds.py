@@ -144,15 +144,11 @@ class DecayEnvelope:
     exp(-gamma * (S_max(j,k) - S_min(j,k))) with S_m = sum_{i<m} phi-weights.
 
     cumulative holds S_1..S_N (S_1 = 0, nondecreasing, increments at most
-    1/sqrt(delta)).  mode records which weight fed the sums: "scalar" for
-    phi_delta(||A_k||); the commuting refinement keeps its operator weights
-    as matrices (see operator_envelope) and uses this type only for the
-    scalar-norm comparison."""
+    1/sqrt(delta)), weighted by phi_delta(||A_k||); the commuting refinement
+    keeps its operator weights as matrices (see operator_envelope)."""
 
     gamma: float
     cumulative: np.ndarray
-    mode: str
-    params: BoundParams
 
     def log_bound(self, j: int, k: int) -> float:
         lo, hi = sorted((j, k))
@@ -168,7 +164,7 @@ def scalar_envelope(trunc: Truncation, p: BoundParams) -> DecayEnvelope:
     S = np.zeros(trunc.nblocks)
     norms = spectral_norm(trunc.offdiag_blocks).tolist()
     S[1:] = np.cumsum([phi_delta(a, p.delta) for a in norms])
-    return DecayEnvelope(gamma_rate(p), S, "scalar", p)
+    return DecayEnvelope(gamma_rate(p), S)
 
 
 # relative commutator norm above which two entries count as non-commuting
@@ -255,12 +251,11 @@ def _commutation_scan(M, names) -> None:
                                    C[i, j] / den[i, j], COMMUTATION_TOL)
 
 
-def _phi_partial_sums(offdiag_blocks, d: int, delta: float) -> np.ndarray:
-    """Operator partial sums P_m = sum_{i<m} phi_delta(|A_i|) for
-    m = 1..len(offdiag_blocks) + 1, where offdiag_blocks holds A_1, A_2, ...,
-    as one (len + 1, d, d) array; P_1 = 0."""
-    phis = psd_matfunc(abs_matrix(np.reshape(offdiag_blocks, (-1, d, d))),
-                       lambda x: phi_delta(x, delta))
+def _phi_partial_sums(trunc: Truncation, delta: float) -> np.ndarray:
+    """Operator partial sums P_m = sum_{i<m} phi_delta(|A_i|) over the
+    truncation's couplings, for m = 1..N, as one (N, d, d) array; P_1 = 0."""
+    d = trunc.dim
+    phis = psd_matfunc(abs_matrix(trunc.offdiag_blocks), lambda x: phi_delta(x, delta))
     return np.cumsum(np.concatenate([np.zeros((1, d, d), np.complex128), phis]), axis=0)
 
 
@@ -273,9 +268,8 @@ def operator_envelope(trunc: Truncation, p: BoundParams) -> list:
     """
     check_pairwise_commutation(trunc)
     gam = gamma_rate(p)
-    d = trunc.dim
-    partials = _phi_partial_sums(trunc.offdiag_blocks, d, p.delta)
-    return [np.eye(d, dtype=np.complex128)] + \
+    partials = _phi_partial_sums(trunc, p.delta)
+    return [np.eye(trunc.dim, dtype=np.complex128)] + \
         list(psd_matfunc(partials[1:], lambda x: math.exp(gam * x)))
 
 

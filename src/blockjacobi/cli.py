@@ -9,9 +9,12 @@ Exit status: 0 on success with all verdicts passing, 2 when a verification
 verdict fails, 1 on input errors (unknown family, malformed file,
 parameter-domain violations).  Identical configurations produce
 bitwise-identical report files; floats are rendered with 17 significant
-digits.  Lambda grids are reported in input order; a green or verify grid
-shares one shift-batched block factor and solve (one lambda is the S = 1
-case), a verify grid also one truncation, spectral query and commutation check.
+digits.  A command that needs blocks reads the family once, into one
+truncation that everything after it reads; verify assembles it after
+checking its parameters.  Lambda grids are reported in input order; a
+green or verify grid shares one shift-batched block factor and solve (one
+lambda is the S = 1 case), a verify grid also one spectral query and
+commutation check.
 """
 
 from __future__ import annotations
@@ -309,16 +312,16 @@ def _cmd_verify(args) -> int:
             which = args.k if args.k is not None else 1
             lam0 = b - 1.0
         p = BoundParams(lam=lam0, b=b, delta=args.delta, eps=args.eps)
-        reports = [verify_eigenvector_decay(fam, p, args.N, which=which,
-                                            calibration=calib)]
+        reports = [verify_eigenvector_decay(assemble_truncation(fam, args.N), p,
+                                            which=which, calibration=calib)]
     else:
         if lam_text is None:
             raise CliError("--lambda is required for this verification mode")
         grid = [BoundParams(lam=lam, b=b, delta=args.delta, eps=args.eps)
                 for lam in _parse_lambda(lam_text)]
         runner = verify_commuting_decay if mode == "commuting" else verify_green_decay
-        reports = runner(fam, grid, args.N, k=args.k if args.k is not None else 1,
-                         calibration=calib)
+        reports = runner(assemble_truncation(fam, args.N), grid,
+                         k=args.k if args.k is not None else 1, calibration=calib)
 
     if len(reports) > 1:
         body_lines = [CSV_HEADER,

@@ -28,8 +28,7 @@ from .bounds import (BoundParams, check_pairwise_commutation, gamma_rate,
 from .dense_linalg import (block_tridiag_factor, psd_matfunc, spectral_norm,
                            tridiag_apply, tridiag_eigs_below,
                            tridiag_inverse_iteration, vector_norm, _sigma_min)
-from .operator_model import (OperatorFamily, Truncation, assemble_truncation,
-                             block_entries, offdiag_kernel_flags)
+from .operator_model import Truncation, offdiag_kernel_flags, _require_hermitian
 
 __all__ = [
     "GreenBlockSet",
@@ -38,7 +37,6 @@ __all__ = [
     "EmptySpectrumError",
     "green_column",
     "eigenpairs_below",
-    "perturbed_family",
     "perturbed_truncation",
     "verify_green_decay",
     "verify_eigenvector_decay",
@@ -173,14 +171,16 @@ def eigenpairs_below(trunc: Truncation, b: float,
 # Rank-d perturbation on the first block
 # ---------------------------------------------------------------------------
 
-def perturbed_family(family: OperatorFamily, tau: float,
-                     L: np.ndarray | None = None) -> OperatorFamily:
-    """Family of J + tau * P_1 L* L P_1: only B_1 changes, to B_1 + tau L*L.
+def perturbed_truncation(trunc: Truncation, tau: float,
+                         L: np.ndarray | None = None) -> Truncation:
+    """Truncation of J + tau * P_1 L* L P_1 at the same size: trunc's arrays
+    with only B_1 replaced, by B_1 + tau L*L.
 
     L must be norm-one with trivial kernel (checked); the identity default
-    satisfies both in finite dimension.
+    satisfies both in finite dimension.  The new B_1 must be finite and
+    Hermitian (checked).
     """
-    d = family.dim
+    d = trunc.dim
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if L is None:
@@ -193,29 +193,12 @@ def perturbed_family(family: OperatorFamily, tau: float,
         raise ValueError(f"||L|| = {nrm!r}, must equal 1 to 1e-10")
     if _sigma_min(L) <= 1e-12:
         raise ValueError("L has (numerically) nontrivial kernel")
-    bump = tau * (L.conj().T @ L)
-    base_diag = family.diag
-
-    def diag(n: int) -> np.ndarray:
-        B = np.array(base_diag(n), dtype=np.complex128)
-        if n == 1:
-            B = B + bump
-        return B
-
-    return OperatorFamily(d, family.offdiag, diag, edge_b=family.edge_b,
-                          label=family.label + f"+perturbed(tau={tau})")
-
-
-def perturbed_truncation(trunc: Truncation, tau: float,
-                         L: np.ndarray | None = None) -> Truncation:
-    """Truncation of the perturbed operator at the same size: trunc's
-    arrays with only B_1 replaced, read (and checked) through block_entries
-    of the perturbed family."""
-    family = perturbed_family(trunc.family, tau, L)
     diags = trunc.diag_blocks.copy()
-    diags[0] = block_entries(family, 1)[1]
+    diags[0] += tau * (L.conj().T @ L)
+    _require_hermitian(diags[0], "diag(1)")
     diags.setflags(write=False)
-    return Truncation(family, trunc.nblocks, diags, trunc.offdiag_blocks)
+    return Truncation(trunc.label + f"+perturbed(tau={tau})", diags,
+                      trunc.offdiag_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +324,10 @@ def _normalize_calibration(calibration, default_lo: int, N: int, limit: int):
     return lo, hi
 
 
-def _build_report(mode: str, family: OperatorFamily, p: BoundParams, N: int,
-                  source: int, measured: np.ndarray, log_envelope: np.ndarray,
+def _build_report(mode: str, trunc: Truncation, p: BoundParams, source: int,
+                  measured: np.ndarray, log_envelope: np.ndarray,
                   calibration, default_calib_lo: int, meta: dict) -> DecayReport:
+    N = trunc.nblocks
     limit = N - N // 10
     lo, hi = _normalize_calibration(calibration, default_calib_lo, N, limit)
     with np.errstate(divide="ignore"):
@@ -359,7 +343,7 @@ def _build_report(mode: str, family: OperatorFamily, p: BoundParams, N: int,
     ratio = np.where(np.isnan(ratio), 0.0, ratio)
     fitted_C = math.exp(log_C) if np.isfinite(log_C) else 0.0
     return DecayReport(
-        mode=mode, family_label=family.label, lam=complex(p.lam), b=p.b,
+        mode=mode, family_label=trunc.label, lam=complex(p.lam), b=p.b,
         delta=p.delta, eps=p.eps, gamma=gamma_rate(p), nblocks=N, source=source,
         indices=indices, measured=measured, envelope=envelope,
         ratio=ratio, verdicts=tuple(verdicts.tolist()), fitted_C=fitted_C,
@@ -395,7 +379,7 @@ def _qualified_metas(trunc: Truncation, points: list[BoundParams]):
         yield meta
 
 
-def verify_green_decay(family: OperatorFamily, p, N: int, k: int = 1,
+def verify_green_decay(trunc: Truncation, p, k: int = 1,
                        calibration=None) -> DecayReport | list[DecayReport]:
     """Green-column decay against the scalar-norm envelope.
 
@@ -406,11 +390,10 @@ def verify_green_decay(family: OperatorFamily, p, N: int, k: int = 1,
     truncation, spectral query and set of sums S_j.
     """
     points, single = _grid(p)
-    trunc = assemble_truncation(family, N)
     S = scalar_envelope(trunc, points[0]).cumulative
     cols = green_column(trunc, [q.lam for q in points], k)
     reports = [_build_report(
-        "green", family, q, N, k, col.norms(),
+        "green", trunc, q, k, col.norms(),
         -gamma_rate(q) * np.abs(S - S[k - 1]), calibration, k,
         {"kind": "green-column", **meta})
         for q, col, meta in zip(points, cols, _qualified_metas(trunc, points))]
@@ -430,8 +413,8 @@ def _select_pair(pairs: list[Eigenpair], which):
     raise ValueError(f"selector must be an int or ('nearest', x), got {which!r}")
 
 
-def verify_eigenvector_decay(family: OperatorFamily, p: BoundParams, N: int,
-                             which=1, calibration=None) -> DecayReport:
+def verify_eigenvector_decay(trunc: Truncation, p: BoundParams, which=1,
+                             calibration=None) -> DecayReport:
     """Eigenvector-component decay for an eigenvalue below b.
 
     The envelope is anchored at m = 1 (cumulative sums from the first
@@ -439,10 +422,9 @@ def verify_eigenvector_decay(family: OperatorFamily, p: BoundParams, N: int,
     placeholder/selector target.  `which` picks the eigenvalue: an index
     from below (1-based) or ("nearest", target), ties to the lower index.
     """
-    trunc = assemble_truncation(family, N)
     pairs = eigenpairs_below(trunc, p.b)
     if not pairs:
-        raise EmptySpectrumError(f"no eigenvalue below b = {p.b} at N = {N}")
+        raise EmptySpectrumError(f"no eigenvalue below b = {p.b} at N = {trunc.nblocks}")
     idx, pair = _select_pair(pairs, which)
     p_eff = p.with_lambda(pair.value)
     env = scalar_envelope(trunc, p_eff)
@@ -456,11 +438,11 @@ def verify_eigenvector_decay(family: OperatorFamily, p: BoundParams, N: int,
         # trivial-kernel hypothesis on the couplings: reported, not enforced
         "offdiag_kernel_trivial": bool(all(offdiag_kernel_flags(trunc))),
     }
-    return _build_report("eigenvector", family, p_eff, N, idx, measured,
-                         log_env, calibration, 1, meta)
+    return _build_report("eigenvector", trunc, p_eff, idx, measured, log_env,
+                         calibration, 1, meta)
 
 
-def verify_commuting_decay(family: OperatorFamily, p, N: int, k: int = 1,
+def verify_commuting_decay(trunc: Truncation, p, k: int = 1,
                            calibration=None) -> DecayReport | list[DecayReport]:
     """Commuting-refinement check: the weighted norms
     ||exp(gamma * sum_{i=min..max-1} phi_delta(|A_i|)) G_{j,k}|| must stay
@@ -468,9 +450,9 @@ def verify_commuting_decay(family: OperatorFamily, p, N: int, k: int = 1,
     a grid, as in verify_green_decay; the commutation check is made once,
     on the truncation's entries."""
     points, single = _grid(p)
-    trunc = assemble_truncation(family, N)
     check_pairwise_commutation(trunc)
-    partials = _phi_partial_sums(trunc.offdiag_blocks, family.dim, points[0].delta)
+    partials = _phi_partial_sums(trunc, points[0].delta)
+    N = trunc.nblocks
     j = np.arange(1, N + 1)
     P = partials[np.maximum(j, k) - 1] - partials[np.minimum(j, k) - 1]
     cols = green_column(trunc, [q.lam for q in points], k)
@@ -478,7 +460,7 @@ def verify_commuting_decay(family: OperatorFamily, p, N: int, k: int = 1,
     for q, col, meta in zip(points, cols, _qualified_metas(trunc, points)):
         gam = gamma_rate(q)
         W = psd_matfunc(P, lambda x: math.exp(gam * x))
-        reports.append(_build_report("commuting", family, q, N, k,
+        reports.append(_build_report("commuting", trunc, q, k,
                                      spectral_norm(W @ col.blocks), np.zeros(N), calibration,
                                      k, {"kind": "commuting-weighted", **meta}))
     return reports[0] if single else reports

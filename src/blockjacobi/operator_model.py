@@ -93,22 +93,26 @@ def block_entries(family: OperatorFamily, n: int) -> tuple[np.ndarray, np.ndarra
 class Truncation:
     """N-block principal section of the operator; immutable after assembly.
 
-    diag_blocks holds B_1..B_N as an (N, d, d) array and offdiag_blocks
-    A_1..A_{N-1} as an (N-1, d, d) array, both complex128 and read-only.
+    label names the operator in reports.  diag_blocks holds B_1..B_N as an
+    (N, d, d) array and offdiag_blocks A_1..A_{N-1} as an (N-1, d, d) array,
+    both complex128 and read-only; N and d are read from them.
     """
 
-    family: OperatorFamily
-    nblocks: int
+    label: str
     diag_blocks: np.ndarray
     offdiag_blocks: np.ndarray
 
     @property
+    def nblocks(self) -> int:
+        return self.diag_blocks.shape[0]
+
+    @property
     def dim(self) -> int:
-        return self.family.dim
+        return self.diag_blocks.shape[1]
 
     @property
     def dense_dim(self) -> int:
-        return self.nblocks * self.family.dim
+        return self.nblocks * self.dim
 
     def dense(self) -> np.ndarray:
         """Assembled (N*d, N*d) Hermitian matrix."""
@@ -141,7 +145,7 @@ def assemble_truncation(family: OperatorFamily, N: int) -> Truncation:
             offs[n - 1] = A
     diags.setflags(write=False)
     offs.setflags(write=False)
-    return Truncation(family, N, diags, offs)
+    return Truncation(family.label, diags, offs)
 
 
 def apply_upsilon(family: OperatorFamily, u) -> np.ndarray:
@@ -228,6 +232,14 @@ def _parse_entry(v) -> complex:
     raise ValueError(f"matrix entry must be a number or an [re, im] pair, got {v!r}")
 
 
+def _table_int(v, what: str) -> int:
+    """A table field that must be an integer (an integral float counts)."""
+    if isinstance(v, bool) or not (isinstance(v, int)
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"malformed family table: {what} = {v!r}, expected an integer")
+    return int(v)
+
+
 def table_family(source) -> OperatorFamily:
     """Family from an explicit JSON table.
 
@@ -247,17 +259,25 @@ def table_family(source) -> OperatorFamily:
         data = source
         label = "table"
     try:
-        d = int(data["dim"])
+        d = _table_int(data["dim"], "dim")
         raw_blocks = data["blocks"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family table: missing {exc}") from exc
+    if not isinstance(raw_blocks, list):
+        raise ValueError("malformed family table: blocks must be a list")
     table: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for i, rec in enumerate(raw_blocks, start=1):
+        if not isinstance(rec, dict):
+            raise ValueError(f"malformed family table: block record {i} is not an object")
         try:
-            n, raw_A, raw_B = int(rec["n"]), rec["A"], rec["B"]
+            n, raw_A, raw_B = rec["n"], rec["A"], rec["B"]
         except KeyError as exc:
             raise ValueError(
                 f"malformed family table: block record {i} missing {exc}") from exc
+        n = _table_int(n, f"block record {i} n")
+        if not all(isinstance(v, (list, tuple)) for v in (raw_A, raw_B)):
+            raise ValueError(
+                f"malformed family table: block record {i} A and B must be lists")
         if n in table:
             raise ValueError(f"family table repeats block n={n}")
         A = np.array([_parse_entry(v) for v in raw_A], dtype=np.complex128)

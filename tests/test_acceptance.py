@@ -47,13 +47,13 @@ def st06_deep(st06):
 @pytest.fixture(scope="module")
 def green_report_st(st06):
     p = BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1)
-    return verify_green_decay(st06, p, N=300, k=1, calibration=(1, 10))
+    return verify_green_decay(assemble_truncation(st06, 300), p, k=1, calibration=(1, 10))
 
 
 @pytest.fixture(scope="module")
 def eigvec_report_deep(st06_deep):
     p = BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1)
-    return verify_eigenvector_decay(st06_deep, p, N=300, which=1)
+    return verify_eigenvector_decay(assemble_truncation(st06_deep, 300), p, which=1)
 
 
 def test_c01_psi_roundtrip():
@@ -95,7 +95,7 @@ def test_c02_linear_algebra_oracles():
 
 def test_c03_scalar_free_jacobi_oracle():
     p = BoundParams(lam=-3.0, b=-2.0, delta=1.0, eps=0.1)
-    rep = verify_green_decay(scalar_free_family(), p, N=400, k=1)
+    rep = verify_green_decay(assemble_truncation(scalar_free_family(), 400), p, k=1)
     g11_ok = abs(rep.measured[0] - GOLDEN) <= 1e-4
     rates = -np.log(rep.measured[50:200] / rep.measured[49:199])
     rate_ok = np.abs(rates - 0.9624).max() <= 1e-3
@@ -155,7 +155,7 @@ def test_c07_eigenvector_decay(eigvec_report_deep, st06_deep):
 
     fam_c = bj.OperatorFamily(2, st06_deep.offdiag, diag, label="shifted")
     p_c = BoundParams(lam=-1.0 + c, b=0.0 + c, delta=1.0, eps=0.1)
-    rep_c = verify_eigenvector_decay(fam_c, p_c, N=300, which=1)
+    rep_c = verify_eigenvector_decay(assemble_truncation(fam_c, 300), p_c, which=1)
     rel = np.abs(rep.measured - rep_c.measured) / np.maximum(
         np.maximum(rep.measured, rep_c.measured), 1e-300)
     cov_ok = (rel.max() <= 1e-10
@@ -172,7 +172,7 @@ def test_c08_commuting_refinement():
     fam = diagonal_family([1.0, 4.0], [2.0, 8.0], aexp=0.6, bexp=0.6)
     p = BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1)
     N = 300
-    rep = verify_commuting_decay(fam, p, N=N, k=1, calibration=(1, 10))
+    rep = verify_commuting_decay(assemble_truncation(fam, N), p, k=1, calibration=(1, 10))
     gam = gamma_rate(p)
 
     # per-direction weighted norms against scalar sub-family runs
@@ -182,7 +182,7 @@ def test_c08_commuting_refinement():
     col2 = green_column(tr2, -1.0, 1)
     for comp, (ca, cb) in enumerate([(1.0, 2.0), (4.0, 8.0)]):
         sub = diagonal_family([ca], [cb], aexp=0.6, bexp=0.6)
-        sub_rep = verify_commuting_decay(sub, p, N=N, k=1, calibration=(1, 10))
+        sub_rep = verify_commuting_decay(assemble_truncation(sub, N), p, k=1, calibration=(1, 10))
         scalar_meas.append(sub_rep.measured)
         direction_ok.append(sub_rep.all_pass)
         # same direction extracted from the block run

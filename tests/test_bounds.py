@@ -358,7 +358,7 @@ class TestCommutationCertificate:
         with pytest.raises(ValueError, match=r"offdiag\(5\) has non-finite entries"):
             check_pairwise_commutation(assemble_truncation(fam, 10))
         with pytest.raises(ValueError, match=r"offdiag\(5\) has non-finite entries"):
-            verify_commuting_decay(fam, BoundParams(lam=-1.0, b=0.0), 40)
+            verify_commuting_decay(assemble_truncation(fam, 40), BoundParams(lam=-1.0, b=0.0))
 
 
 class TestQualifiedConstant:

@@ -14,7 +14,6 @@ from blockjacobi import (BoundParams, EmptySpectrumError, OperatorFamily,
                          verify_green_decay)
 
 from blockjacobi import cli, dense_linalg, green_spectral
-from blockjacobi.green_spectral import perturbed_family
 
 from conftest import random_family, shift_first_block
 
@@ -29,6 +28,19 @@ def shift_all_diagonals(family: OperatorFamily, c: float) -> OperatorFamily:
         return np.array(base(n), dtype=np.complex128) + c * np.eye(d)
 
     return OperatorFamily(d, family.offdiag, diag, label=family.label + f"+{c}I")
+
+
+def bump_first_block(family: OperatorFamily, tau: float, L: np.ndarray) -> OperatorFamily:
+    """Rules of J + tau * P_1 L*L P_1: the rule for B_1 adds tau L*L."""
+    bump = tau * (L.conj().T @ L)
+    base = family.diag
+
+    def diag(n: int) -> np.ndarray:
+        B = np.array(base(n), dtype=np.complex128)
+        return B + bump if n == 1 else B
+
+    return dataclasses.replace(family, diag=diag,
+                               label=family.label + f"+perturbed(tau={tau})")
 
 
 class TestGreenColumn:
@@ -189,14 +201,17 @@ class TestPerturbedTruncation:
 
     @pytest.mark.parametrize("N", [1, 2, 30])
     def test_equals_full_assembly(self, N):
-        # only B_1 is replaced; the rest is the base truncation's, bit for bit
+        # only B_1 is replaced, as the rules of the perturbed operator give
+        # it; the rest is the base truncation's, bit for bit
         fam = random_family(11, 2, complex_entries=True)
         tr = assemble_truncation(fam, N)
+        identity = np.eye(2, dtype=np.complex128)
         unitary = np.array([[0.0, 1j], [1.0, 0.0]])
         for tau, L in ((0.0, None), (0.3, None), (0.05, unitary)):
             pert = perturbed_truncation(tr, tau, L)
-            want = assemble_truncation(perturbed_family(fam, tau, L), N)
-            assert pert.family.label == want.family.label
+            want = assemble_truncation(
+                bump_first_block(fam, tau, identity if L is None else L), N)
+            assert pert.label == want.label
             assert pert.nblocks == want.nblocks == N
             for got, ref in ((pert.diag_blocks, want.diag_blocks),
                              (pert.offdiag_blocks, want.offdiag_blocks)):
@@ -220,7 +235,19 @@ class TestPerturbedTruncation:
         L = np.outer([0.3, 0.7], [0.2, 0.9])
         L = L / np.linalg.norm(L, 2)
         with pytest.raises(ValueError, match="kernel"):
-            perturbed_family(st_deep, 0.1, L)
+            perturbed_truncation(assemble_truncation(st_deep, 10), 0.1, L)
+
+    def test_verify_reads_perturbed_truncation(self, st_deep):
+        # an assembled matrix needs no rules: the perturbed truncation's
+        # report is the one for the family whose rule for B_1 is shifted
+        p = BoundParams(lam=-1.0, b=0.0)
+        pert = perturbed_truncation(assemble_truncation(st_deep, 100), 0.01)
+        got = verify_eigenvector_decay(pert, p)
+        want = verify_eigenvector_decay(
+            assemble_truncation(shift_first_block(st_deep, 0.01), 100), p)
+        assert got.csv_rows() == want.csv_rows()
+        assert ({k: v for k, v in got.summary().items() if k != "family"}
+                == {k: v for k, v in want.summary().items() if k != "family"})
 
     def test_eigenvalue_moves_off_and_monotonically(self, st_deep):
         tr = assemble_truncation(st_deep, 120)
@@ -237,7 +264,7 @@ class TestPerturbedTruncation:
 class TestVerifyGreenDecay:
     def test_scalar_free_all_pass(self):
         p = BoundParams(lam=-3.0, b=-2.0, delta=1.0, eps=0.1)
-        rep = verify_green_decay(scalar_free_family(), p, N=200, k=1)
+        rep = verify_green_decay(assemble_truncation(scalar_free_family(), 200), p, k=1)
         assert rep.all_pass
         assert rep.gamma < -math.log(GOLDEN)
         assert rep.measured[0] == pytest.approx(GOLDEN, abs=1e-6)
@@ -246,49 +273,49 @@ class TestVerifyGreenDecay:
 
     def test_source_row_is_calibration_anchor(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
-        rep = verify_green_decay(st_critical, p, N=40, k=3)
+        rep = verify_green_decay(assemble_truncation(st_critical, 40), p, k=3)
         assert rep.envelope[2] == 1.0
         assert rep.verdicts[2] == "pass"
         assert rep.ratio[2] <= 1.0 + 1e-9
 
     def test_st_family_passes(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1)
-        rep = verify_green_decay(st_critical, p, N=120, k=1)
+        rep = verify_green_decay(assemble_truncation(st_critical, 120), p, k=1)
         assert rep.all_pass
         assert rep.pass_fraction == 1.0
         assert rep.eligible_limit == 108
 
     def test_boundary_exclusion_tail(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
-        rep = verify_green_decay(st_critical, p, N=50, k=1)
+        rep = verify_green_decay(assemble_truncation(st_critical, 50), p, k=1)
         assert rep.verdicts[-1] == "excluded"
         assert sum(v == "excluded" for v in rep.verdicts) == 5
 
     def test_calibration_override(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
-        rep = verify_green_decay(st_critical, p, N=60, k=1, calibration=(1, 5))
+        rep = verify_green_decay(assemble_truncation(st_critical, 60), p, k=1, calibration=(1, 5))
         assert rep.calibration == (1, 5)
 
     def test_monotone_gap_sharpening(self, st_critical):
         gammas = []
         for lam in (-3.0, -2.0, -1.0, -0.5):
             p = BoundParams(lam=lam, b=0.0)
-            rep = verify_green_decay(st_critical, p, N=60, k=1)
+            rep = verify_green_decay(assemble_truncation(st_critical, 60), p, k=1)
             assert rep.all_pass
             gammas.append(rep.gamma)
         assert all(gammas[i] >= gammas[i + 1] - 1e-12 for i in range(3))
 
     def test_n_doubling_stability(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
-        r1 = verify_green_decay(st_critical, p, N=60, k=1)
-        r2 = verify_green_decay(st_critical, p, N=120, k=1)
+        r1 = verify_green_decay(assemble_truncation(st_critical, 60), p, k=1)
+        r2 = verify_green_decay(assemble_truncation(st_critical, 120), p, k=1)
         a, b = r1.measured[:40], r2.measured[:40]
         assert np.abs(a - b).max() <= 1e-8 * b.max()
 
     def test_csv_deterministic_and_versioned(self, st_critical, tmp_path):
         p = BoundParams(lam=-1.0, b=0.0)
-        r1 = verify_green_decay(st_critical, p, N=40, k=1)
-        r2 = verify_green_decay(st_critical, p, N=40, k=1)
+        r1 = verify_green_decay(assemble_truncation(st_critical, 40), p, k=1)
+        r2 = verify_green_decay(assemble_truncation(st_critical, 40), p, k=1)
         assert r1.csv_text() == r2.csv_text()
         assert r1.json_text() == r2.json_text()
         lines = r1.csv_text().splitlines()
@@ -301,7 +328,7 @@ class TestVerifyGreenDecay:
 
     def test_summary_fields(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
-        rep = verify_green_decay(st_critical, p, N=40, k=1)
+        rep = verify_green_decay(assemble_truncation(st_critical, 40), p, k=1)
         s = rep.summary()
         for key in ("fitted_C", "gamma", "pass_fraction", "all_pass",
                     "qualified_C", "schema"):
@@ -313,7 +340,7 @@ class TestVerifyGreenDecay:
 class TestVerifyEigenvectorDecay:
     def test_deep_state_passes(self, st_deep):
         p = BoundParams(lam=-1.0, b=0.0, delta=1.0, eps=0.1)
-        rep = verify_eigenvector_decay(st_deep, p, N=120, which=1)
+        rep = verify_eigenvector_decay(assemble_truncation(st_deep, 120), p, which=1)
         assert rep.all_pass
         assert rep.mode == "eigenvector"
         assert rep.meta["eigenvalue"] == pytest.approx(-8.0915, abs=1e-3)
@@ -323,29 +350,29 @@ class TestVerifyEigenvectorDecay:
 
     def test_nearest_selector(self, st_deep):
         p = BoundParams(lam=-1.0, b=0.0)
-        r1 = verify_eigenvector_decay(st_deep, p, N=60, which=("nearest", -8.0))
-        r2 = verify_eigenvector_decay(st_deep, p, N=60, which=1)
+        r1 = verify_eigenvector_decay(assemble_truncation(st_deep, 60), p, which=("nearest", -8.0))
+        r2 = verify_eigenvector_decay(assemble_truncation(st_deep, 60), p, which=1)
         assert r1.meta["eigenvalue"] == pytest.approx(r2.meta["eigenvalue"], abs=1e-10)
 
     def test_trivial_single_site_state(self):
         fam = diagonal_family([1e-9], [-1.0], bexp=-1.0)
         p = BoundParams(lam=-0.9, b=-0.05)
-        rep = verify_eigenvector_decay(fam, p, N=30, which=1)
+        rep = verify_eigenvector_decay(assemble_truncation(fam, 30), p, which=1)
         assert rep.all_pass
         assert rep.measured[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_spectrum_is_explicit_error(self):
         p = BoundParams(lam=-3.0, b=-2.0)
         with pytest.raises(EmptySpectrumError, match="no eigenvalue below"):
-            verify_eigenvector_decay(scalar_free_family(), p, N=60)
+            verify_eigenvector_decay(assemble_truncation(scalar_free_family(), 60), p)
 
     def test_diagonal_shift_covariance(self, st_deep):
         c = 3.0
         p = BoundParams(lam=-1.0, b=0.0)
-        rep = verify_eigenvector_decay(st_deep, p, N=100, which=1)
+        rep = verify_eigenvector_decay(assemble_truncation(st_deep, 100), p, which=1)
         shifted = shift_all_diagonals(st_deep, c)
         p_c = BoundParams(lam=-1.0 + c, b=c)
-        rep_c = verify_eigenvector_decay(shifted, p_c, N=100, which=1)
+        rep_c = verify_eigenvector_decay(assemble_truncation(shifted, 100), p_c, which=1)
         assert rep_c.meta["eigenvalue"] - rep.meta["eigenvalue"] == pytest.approx(c, abs=1e-9)
         assert rep_c.gamma == pytest.approx(rep.gamma, abs=1e-10)
         m0, m1 = rep.measured, rep_c.measured
@@ -357,8 +384,8 @@ class TestVerifyEigenvectorDecay:
 class TestVerifyCommutingDecay:
     def test_scalar_weights_reproduce_green_verdicts(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
-        rg = verify_green_decay(st_critical, p, N=80, k=1)
-        rc = verify_commuting_decay(st_critical, p, N=80, k=1)
+        rg = verify_green_decay(assemble_truncation(st_critical, 80), p, k=1)
+        rc = verify_commuting_decay(assemble_truncation(st_critical, 80), p, k=1)
         assert rc.all_pass
         assert rc.verdicts == rg.verdicts
         assert rc.fitted_C == pytest.approx(rg.fitted_C, rel=1e-9)
@@ -366,7 +393,7 @@ class TestVerifyCommutingDecay:
     def test_diagonal_family_both_directions(self):
         fam = diagonal_family([1.0, 4.0], [2.0, 8.0], aexp=0.6, bexp=0.6)
         p = BoundParams(lam=-1.0, b=0.0)
-        rep = verify_commuting_decay(fam, p, N=100, k=1)
+        rep = verify_commuting_decay(assemble_truncation(fam, 100), p, k=1)
         assert rep.all_pass
         # per-direction weighted norms stay bounded individually
         assert np.all(rep.measured[:rep.eligible_limit]
@@ -391,7 +418,7 @@ class TestVerifyCommutingDecay:
         from blockjacobi import CommutationError, StParams, st_family
         fam = st_family(StParams(1.0, 4.0, 0.6))
         with pytest.raises(CommutationError):
-            verify_commuting_decay(fam, BoundParams(lam=-1.0, b=0.0), N=30, k=1)
+            verify_commuting_decay(assemble_truncation(fam, 30), BoundParams(lam=-1.0, b=0.0), k=1)
 
 
 class TestVerifyGrid:
@@ -406,19 +433,19 @@ class TestVerifyGrid:
     def test_grid_equals_points(self, runner, family, st_critical):
         fam = st_critical if family == "st" else self.DIAG
         points = self.grid(-2.0, -1.0 + 0.5j, -0.5)
-        reports = runner(fam, points, 60, k=2)
+        reports = runner(assemble_truncation(fam, 60), points, k=2)
         assert isinstance(reports, list) and len(reports) == 3
         for p, rep in zip(points, reports):
-            single = runner(fam, p, 60, k=2)
+            single = runner(assemble_truncation(fam, 60), p, k=2)
             assert rep.csv_text() == single.csv_text()
             assert rep.json_text() == single.json_text()
 
     def test_one_point_grid_is_a_list(self):
         p = BoundParams(lam=-3.0, b=-2.0)
-        reports = verify_green_decay(scalar_free_family(), [p], 30)
+        reports = verify_green_decay(assemble_truncation(scalar_free_family(), 30), [p])
         assert len(reports) == 1
         assert reports[0].csv_text() == \
-            verify_green_decay(scalar_free_family(), p, 30).csv_text()
+            verify_green_decay(assemble_truncation(scalar_free_family(), 30), p).csv_text()
 
     @pytest.mark.parametrize("runner", [verify_green_decay, verify_commuting_decay])
     @pytest.mark.parametrize("field, value", [
@@ -427,17 +454,16 @@ class TestVerifyGrid:
         first = BoundParams(lam=-2.0, b=0.0)
         other = BoundParams(**{"lam": -1.0, "b": 0.0, field: value})
         with pytest.raises(ValueError, match="nonempty and share b, delta and eps"):
-            runner(self.DIAG, [first, other], 30)
+            runner(assemble_truncation(self.DIAG, 30), [first, other])
 
     @pytest.mark.parametrize("runner", [verify_green_decay, verify_commuting_decay])
     def test_empty_grid_rejected(self, runner):
         with pytest.raises(ValueError, match="nonempty and share b, delta and eps"):
-            runner(self.DIAG, [], 30)
+            runner(assemble_truncation(self.DIAG, 30), [])
 
     def test_spectral_data_once_per_grid(self, monkeypatch):
         calls = {}
-        for module, name in ((green_spectral, "assemble_truncation"),
-                             (green_spectral, "check_pairwise_commutation"),
+        for module, name in ((green_spectral, "check_pairwise_commutation"),
                              (green_spectral, "tridiag_eigs_below"),
                              (green_spectral, "green_column"),
                              (dense_linalg, "tridiag_kth_eigenvalue"),
@@ -448,9 +474,9 @@ class TestVerifyGrid:
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*a, **kw)
             monkeypatch.setattr(module, name, counted)
-        reports = verify_commuting_decay(self.DIAG, self.grid(-2.0, -1.5, -1.0), 40)
+        reports = verify_commuting_decay(assemble_truncation(self.DIAG, 40),
+                                         self.grid(-2.0, -1.5, -1.0))
         assert len(reports) == 3
-        assert calls["assemble_truncation"] == 1
         assert calls["check_pairwise_commutation"] == 1
         assert calls["tridiag_eigs_below"] == 1
         # one multisection finds the eigenvalues below b and the next one up
@@ -488,7 +514,7 @@ class TestFamilyReadOnce:
                             (verify_commuting_decay, parse_family_spec(self.DIAG)),
                             (verify_eigenvector_decay, st_deep)):
             fam, calls = counting_family(family)
-            run(fam, self.P, self.N)
+            run(assemble_truncation(fam, self.N), self.P)
             assert calls == {"offdiag": self.N, "diag": self.N}, run.__name__
 
     def test_cli_bounds_envelope_table(self, monkeypatch, tmp_path, capsys):

@@ -277,6 +277,27 @@ class TestFamilyConstruction:
     def test_table_family_bad_shape(self):
         with pytest.raises(ValueError, match="entries"):
             table_family({"dim": 2, "blocks": [{"n": 1, "A": [1], "B": [0]}]})
+        # a fractional size or index, or a record or list of the wrong type,
+        # is an input error, not a different operator
+        rec = {"n": 1, "A": [1], "B": [0]}
+        for doc, message in [
+                ({"dim": 1.7, "blocks": [rec]}, r"dim = 1\.7, expected an integer"),
+                ({"dim": True, "blocks": [rec]}, "dim = True, expected an integer"),
+                ({"dim": 1, "blocks": [rec, {**rec, "n": 1.5}]},
+                 r"block record 2 n = 1\.5, expected an integer"),
+                ({"dim": 1, "blocks": [{**rec, "n": "2"}]},
+                 "block record 1 n = '2', expected an integer"),
+                ({"dim": 1, "blocks": [rec, [2, [1], [0]]]},
+                 "block record 2 is not an object"),
+                ({"dim": 1, "blocks": rec}, "blocks must be a list"),
+                ({"dim": 1, "blocks": 3}, "blocks must be a list"),
+                ({"dim": 1, "blocks": [{**rec, "A": 1}]},
+                 "block record 1 A and B must be lists")]:
+            with pytest.raises(ValueError, match=f"malformed family table: {message}"):
+                table_family(doc)
+        # an integral float names the same block
+        fam = table_family({"dim": 1.0, "blocks": [{**rec, "n": 1.0}]})
+        assert fam.dim == 1 and block_entries(fam, 1)[0][0, 0] == 1
 
     def test_table_family_non_hermitian_diag(self):
         with pytest.raises(ValueError, match="Hermitian"):
