@@ -5,11 +5,10 @@ from .bounds import (BoundParams, CommutationError, DecayEnvelope,
                      check_pairwise_commutation, simplified_regime_params, gamma_rate,
                      operator_envelope, phi_delta, psi, psi_inv,
                      qualified_constant, scalar_envelope, simplified_rate)
-from .dense_linalg import (BlockTridiagLU, EigDecomposition,
-                           RootConvergenceError, SingularShiftError,
+from .dense_linalg import (BlockTridiagLU, EigDecomposition, SingularShiftError,
                            abs_matrix, block_tridiag_factor,
-                           block_tridiag_solve, hermitian_eig, poly_roots,
-                           psd_matfunc, spectral_norm, tridiag_count_below,
+                           block_tridiag_solve, hermitian_eig, psd_matfunc,
+                           spectral_norm, tridiag_count_below,
                            tridiag_eigs_below, tridiag_kth_eigenvalue)
 from .green_spectral import (DecayReport, Eigenpair, EmptySpectrumError,
                              GreenBlockSet, eigenpairs_below, green_column,

@@ -155,13 +155,13 @@ def _cmd_bounds(args) -> int:
              f"# command=bounds b={_fmt(b)} delta={_fmt(args.delta)} "
              f"eps={_fmt(args.eps)}"]
     if fam is not None and args.N is not None:
-        trunc = assemble_truncation(fam, args.N)
+        # S_m depends on delta alone, so one envelope serves every lambda
+        S = scalar_envelope(assemble_truncation(fam, args.N), rows[0][3]).cumulative
         lines.append("lambda,index,cumulative,envelope")
-        for lam, gam, _, p in rows:
-            env = scalar_envelope(trunc, p)
+        for lam, gam, _, _ in rows:
             for m in range(1, args.N + 1):
-                lines.append(f"{_fmt_complex(lam)},{m},{_fmt(env.cumulative[m-1])},"
-                             f"{_fmt(np.exp(-gam * env.cumulative[m-1]))}")
+                lines.append(f"{_fmt_complex(lam)},{m},{_fmt(S[m-1])},"
+                             f"{_fmt(np.exp(-gam * S[m-1]))}")
     else:
         lines.append("lambda,gamma,simplified_rate")
         for lam, gam, simp, _ in rows:

@@ -2,9 +2,9 @@
 
 Hermitian eigendecomposition (cyclic Jacobi rotations), matrix absolute
 value and spectral functions, block-tridiagonal LU solves, inertia-based
-eigenvalue multisection, inverse iteration, and an Aberth-Ehrlich
-polynomial root finder.  Everything here is deterministic: fixed sweep
-orders, fixed starting configurations, no randomness.
+eigenvalue multisection and inverse iteration.  Everything here is
+deterministic: fixed sweep orders, fixed starting configurations, no
+randomness.
 
 Spectral queries count eigenvalues below a whole vector of shifts in one
 block LDL* sweep, which stops once the rest of the matrix cannot add a
@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "EigDecomposition",
     "SingularShiftError",
-    "RootConvergenceError",
     "hermitian_eig",
     "abs_matrix",
     "spectral_norm",
@@ -50,17 +49,15 @@ __all__ = [
     "tridiag_kth_eigenvalue",
     "tridiag_eigs_below",
     "tridiag_inverse_iteration",
-    "poly_roots",
 ]
 
 # Jacobi rotations stop below JACOBI_OFF_TOL * ||H||_F of off-diagonal mass
 # or fail after JACOBI_MAX_SWEEPS sweeps; a checked factorization refuses a
-# pivot condition estimate above COND_LIMIT; poly_roots runs ROOT_MAX_ITER;
-# a subnormal scale (below _TINY) is prescaled by the power of two _PRESCALE
+# pivot condition estimate above COND_LIMIT; a subnormal scale (below _TINY)
+# is prescaled by the power of two _PRESCALE
 JACOBI_OFF_TOL, JACOBI_MAX_SWEEPS = 1e-14, 100
 _TINY, _PRESCALE = np.finfo(float).tiny, 2.0 ** 64
 COND_LIMIT = 1e12
-ROOT_MAX_ITER = 300
 
 
 class SingularShiftError(ArithmeticError):
@@ -73,16 +70,6 @@ class SingularShiftError(ArithmeticError):
         super().__init__(
             f"singular shift: pivot block {block_index} has condition estimate "
             f"{cond:.3e} (limit {COND_LIMIT:.0e})"
-        )
-
-
-class RootConvergenceError(ArithmeticError):
-    """Polynomial root iteration failed to converge; carries residuals."""
-
-    def __init__(self, residuals):
-        self.residuals = np.asarray(residuals)
-        super().__init__(
-            f"root finder did not converge; max residual {self.residuals.max():.3e}"
         )
 
 
@@ -886,63 +873,3 @@ def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU,
         x = x / nrm
     rq = float(np.real(np.vdot(x, tridiag_apply(blocks, x))))
     return x, rq
-
-
-# ---------------------------------------------------------------------------
-# Polynomial roots: Aberth-Ehrlich simultaneous iteration
-# ---------------------------------------------------------------------------
-
-def _horner(coeffs_desc, z):
-    p = np.full_like(z, coeffs_desc[0])
-    for c in coeffs_desc[1:]:
-        p = p * z + c
-    return p
-
-
-def poly_roots(coeffs) -> np.ndarray:
-    """All complex roots of p(z) = sum_i coeffs[i] * z^i, degree <= 8.
-
-    Aberth-Ehrlich iteration started on a circle of radius
-    1 + max|c_i / c_lead| with a fixed 0.4 rad angular offset, so runs are
-    deterministic.  Roots come back sorted by (real, imag).  Residuals are
-    validated against 1e-10 times a per-root magnitude scale; failure to
-    converge raises RootConvergenceError.
-    """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a nonempty 1-d sequence")
-    if c[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    deg = c.size - 1
-    if deg > 8:
-        raise ValueError("degree > 8 not supported")
-    if deg == 0:
-        return np.zeros(0, dtype=np.complex128)
-
-    radius = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = radius * np.exp(1j * angles)
-    cd = c[::-1]
-    dd = (c[1:] * np.arange(1, deg + 1))[::-1]
-
-    converged = False
-    for _ in range(ROOT_MAX_ITER):
-        p = _horner(cd, z)
-        dp = _horner(dd, z)
-        dp = np.where(dp == 0, 1e-300, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv_sum = (1.0 / diff).sum(axis=1) - 1.0  # remove the diagonal 1/1 terms
-        corr = w / (1.0 - w * inv_sum)
-        z = z - corr
-        if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))):
-            converged = True
-            break
-
-    res = np.abs(_horner(cd, z))
-    scale = _horner(np.abs(cd), np.abs(z))
-    if not converged and np.any(res > 1e-10 * np.maximum(scale, 1e-300)):
-        raise RootConvergenceError(res)
-    order = np.lexsort((z.imag, z.real))
-    return z[order]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -240,6 +241,15 @@ def _table_int(v, what: str) -> int:
     return int(v)
 
 
+def _table_edge(v) -> float:
+    """The optional edge_b field: a finite number (a bool is not one)."""
+    if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                   and abs(v) <= sys.float_info.max):
+        raise ValueError(
+            f"malformed family table: edge_b = {v!r}, expected a finite number")
+    return float(v)
+
+
 def table_family(source) -> OperatorFamily:
     """Family from an explicit JSON table.
 
@@ -258,10 +268,13 @@ def table_family(source) -> OperatorFamily:
     else:
         data = source
         label = "table"
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed family table: the document is a "
+                         f"{type(data).__name__}, expected an object")
     try:
         d = _table_int(data["dim"], "dim")
         raw_blocks = data["blocks"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed family table: missing {exc}") from exc
     if not isinstance(raw_blocks, list):
         raise ValueError("malformed family table: blocks must be a list")
@@ -301,7 +314,7 @@ def table_family(source) -> OperatorFamily:
 
     edge = data.get("edge_b")
     return OperatorFamily(d, offdiag, diag,
-                          edge_b=None if edge is None else float(edge),
+                          edge_b=None if edge is None else _table_edge(edge),
                           label=label)
 
 

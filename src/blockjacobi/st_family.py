@@ -14,13 +14,13 @@ of solutions for lambda < 0.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_linalg import poly_roots
 from .operator_model import OperatorFamily
 
 __all__ = [
@@ -118,23 +118,45 @@ def transfer_matrix(p: StParams, lam: float, n: int) -> TransferMatrix:
     return TransferMatrix(n, lam, M)
 
 
-def transfer_char_coeffs(p: StParams, lam: float, n: int) -> np.ndarray:
-    """Exact characteristic polynomial of the transfer matrix, ascending
-    coefficients.  Schur reduction of det(transfer - mu I) = 0 gives the
-    biquadratic mu^4 + (2 rho - q) mu^2 + rho^2 with rho = ((n-1)/n)^alpha
-    and q = (lam - t_n)(lam - s_n) / r_n^2."""
+def _rho_q(p: StParams, lam: float, n: int) -> tuple[float, float]:
+    """rho and q of the transfer biquadratic (see transfer_char_coeffs)."""
     if n < 2:
         raise ValueError(f"transfer matrix needs n >= 2, got {n}")
     rho = ((n - 1) / n) ** p.alpha
     rn = float(n) ** p.alpha
     q = (lam - p.t * rn) * (lam - p.s * rn) / (rn * rn)
+    return rho, q
+
+
+def transfer_char_coeffs(p: StParams, lam: float, n: int) -> np.ndarray:
+    """Exact characteristic polynomial of the transfer matrix, ascending
+    coefficients.  Schur reduction of det(transfer - mu I) = 0 gives the
+    biquadratic mu^4 + (2 rho - q) mu^2 + rho^2 with rho = ((n-1)/n)^alpha
+    and q = (lam - t_n)(lam - s_n) / r_n^2."""
+    rho, q = _rho_q(p, lam, n)
     return np.array([rho * rho, 0.0, 2.0 * rho - q, 0.0, 1.0])
 
 
 def transfer_eigenvalues(p: StParams, lam: float, n: int) -> np.ndarray:
-    """The four eigenvalues of the transfer matrix, sorted by (real, imag).
+    """The four eigenvalues of the transfer matrix, sorted by (real, imag),
+    in closed form from the biquadratic: nu = mu^2 solves
+    nu^2 + (2 rho - q) nu + rho^2 = 0, whose discriminant factors as
+    q (q - 4 rho).  A real pair is solved in the stable form (the larger
+    root with the sign of q - 2 rho, the other as rho^2 / nu1; nu1 != 0
+    since rho > 0), a complex pair as conjugates.  The roots come as exact
+    +-mu pairs, and conjugate pairs share their real parts bit for bit.
     Their product equals det = ((n-1)/n)^(2 alpha)."""
-    return poly_roots(transfer_char_coeffs(p, lam, n))
+    rho, q = _rho_q(p, lam, n)
+    b = q - 2.0 * rho
+    disc = q * (q - 4.0 * rho)
+    if disc >= 0.0:
+        nu1 = (b + math.copysign(math.sqrt(disc), b)) / 2.0
+        m1, m2 = cmath.sqrt(nu1), cmath.sqrt(rho * rho / nu1)
+    else:
+        m1 = cmath.sqrt(complex(b / 2.0, math.sqrt(-disc) / 2.0))
+        m2 = m1.conjugate()
+    mu = np.array([m1, -m1, m2, -m2]) + 0.0  # + 0.0 turns -0.0 parts into 0.0
+    return mu[np.lexsort((mu.imag, mu.real))]
 
 
 def decaying_root(p: StParams, lam: float, n: int) -> complex:
@@ -154,9 +176,7 @@ def decaying_root(p: StParams, lam: float, n: int) -> complex:
     if in_class.all():
         raise ValueError(
             f"ambiguous decaying root at n={n}: all |mu| tie at {m0:.6e}")
-    cls = mu[in_class]
-    order = np.lexsort((cls.imag, cls.real))
-    return complex(cls[order[-1]])
+    return complex(mu[in_class][-1])  # mu is sorted by (real, imag)
 
 
 def mu_asymptotic(p: StParams, lam: float, n: int) -> np.ndarray:

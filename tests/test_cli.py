@@ -39,6 +39,19 @@ class TestBounds:
         assert lines[2] == "lambda,index,cumulative,envelope"
         assert len(lines) == 8
 
+    def test_envelope_computed_once_per_grid(self, tmp_path, capsys, monkeypatch):
+        # S_m depends on delta alone: one envelope for every lambda of the grid
+        calls = []
+        real = cli.scalar_envelope
+        monkeypatch.setattr(cli, "scalar_envelope",
+                            lambda *a: calls.append(a) or real(*a))
+        code, _, _ = run_cli(
+            ["bounds", "--lambda=-2:-1:0.5", "--family", "st:s=2,t=2",
+             "--N=5", "--out", str(tmp_path / "env.csv")], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        assert len((tmp_path / "env.csv").read_text().splitlines()) == 3 + 3 * 5
+
     def test_missing_b_is_input_error(self, capsys):
         code, _, err = run_cli(["bounds", "--lambda=-1"], capsys)
         assert code == 1
@@ -462,6 +475,27 @@ class TestMalformedTable:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"missing '{key}'" in lines[0]
 
+
+    blocks = [{"n": n, "A": [1], "B": [0]} for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"dim": 1, "edge_b": [0], "blocks": blocks},
+         "edge_b = [0], expected a finite number"),
+        ({"dim": 1, "edge_b": True, "blocks": blocks},
+         "edge_b = True, expected a finite number"),
+        (blocks, "the document is a list, expected an object"),
+    ], ids=["edge-list", "edge-bool", "top-level-list"])
+    def test_malformed_document_is_one_line_input_error(self, doc, message,
+                                                        tmp_path, capsys):
+        # --b overrides the edge, yet a malformed edge_b is still an input error
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["eigs", "--family", str(path), "--N=3", "--b=5"],
+                               capsys)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"malformed family table: {message}" in lines[0]
 
 class TestVectorScalarParameter:
     @pytest.mark.parametrize("family,key", [

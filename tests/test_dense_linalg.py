@@ -411,49 +411,6 @@ class TestInverseIteration:
         assert abs(np.vdot(V[:, 0], x)) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestPolyRoots:
-    def test_quadratic(self):
-        assert np.allclose(dl.poly_roots([-1, 0, 1]), [-1.0, 1.0], atol=1e-12)
-
-    def test_quartic_roots_of_unity(self):
-        got = dl.poly_roots([-1, 0, 0, 0, 1])
-        assert np.allclose(got, [-1.0, -1.0j, 1.0j, 1.0], atol=1e-12)
-
-    def test_residuals_small(self):
-        rng = np.random.default_rng(59)
-        c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        r = dl.poly_roots(c)
-        vals = np.polyval(c[::-1], r)
-        scale = np.polyval(np.abs(c[::-1]), np.abs(r))
-        assert np.all(np.abs(vals) <= 1e-10 * scale)
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=10, max_size=10),
-           st.floats(min_value=0.5, max_value=10))
-    def test_vieta_quartic(self, flat, lead):
-        c = np.array([complex(flat[2 * i], flat[2 * i + 1]) for i in range(5)])
-        c[4] = lead + 1j * flat[9] / 10
-        roots = dl.poly_roots(c)
-        assert abs(roots.sum() - (-c[3] / c[4])) <= 1e-9 * (1 + abs(c[3] / c[4]))
-        prod = np.prod(roots)
-        assert abs(prod - c[0] / c[4]) <= 1e-9 * (1 + abs(c[0] / c[4]))
-
-    def test_deterministic_order(self):
-        c = [2.0, -3.0, 0.5, 1.0, 4.0]
-        r1 = dl.poly_roots(c)
-        r2 = dl.poly_roots(c)
-        assert np.array_equal(r1, r2)
-        assert np.all(np.diff(r1.real) >= -1e-15)
-
-    def test_rejects_zero_leading(self):
-        with pytest.raises(ValueError, match="leading"):
-            dl.poly_roots([1.0, 1.0, 0.0])
-
-    def test_rejects_large_degree(self):
-        with pytest.raises(ValueError, match="degree"):
-            dl.poly_roots([1.0] * 10)
-
-
 class TestVectorNorm:
     def test_matches_numpy(self):
         rng = np.random.default_rng(61)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +300,33 @@ class TestFamilyConstruction:
         # an integral float names the same block
         fam = table_family({"dim": 1.0, "blocks": [{**rec, "n": 1.0}]})
         assert fam.dim == 1 and block_entries(fam, 1)[0][0, 0] == 1
+
+    @pytest.mark.parametrize("edge", [[0], True, False, "0", None, math.inf,
+                                      math.nan, 10**400],
+                             ids=["list", "true", "false", "string", "null",
+                                  "inf", "nan", "int-beyond-float"])
+    def test_table_family_edge_must_be_finite_number(self, edge):
+        doc = {"dim": 1, "blocks": [{"n": 1, "A": [1], "B": [0]}], "edge_b": edge}
+        if edge is None:  # an explicit null is an unset edge
+            assert table_family(doc).edge_b is None
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                f"malformed family table: edge_b = {edge!r}, expected a finite number")):
+            table_family(doc)
+
+    def test_table_family_integer_edge(self):
+        fam = table_family({"dim": 1, "blocks": [{"n": 1, "A": [1], "B": [0]}],
+                            "edge_b": -2})
+        assert fam.edge_b == -2.0 and isinstance(fam.edge_b, float)
+
+    @pytest.mark.parametrize("doc,kind", [([{"dim": 1}], "list"), (3, "int"),
+                                          ("x", "str"), (None, "NoneType")])
+    def test_table_family_document_must_be_object(self, doc, kind, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"malformed family table: the document "
+                                             f"is a {kind}, expected an object"):
+            table_family(str(path))
 
     def test_table_family_non_hermitian_diag(self):
         with pytest.raises(ValueError, match="Hermitian"):

@@ -1,14 +1,18 @@
+import decimal
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockjacobi import (PhaseClass, StParams, assemble_truncation,
                          block_entries, constant_st_family, decaying_root,
                          jc_lower_bound, levinson_profile, mu_asymptotic,
                          phase_class, st_family, transfer_eigenvalues,
                          transfer_matrix, tridiag_kth_eigenvalue)
-from blockjacobi.st_family import transfer_char_coeffs
+from blockjacobi.st_family import _rho_q, transfer_char_coeffs
 
 P06 = StParams(2.0, 2.0, 0.6)
 
@@ -134,6 +138,82 @@ class TestTransferEigenvalues:
     def test_elliptic_regime_has_no_decaying_root(self):
         with pytest.raises(ValueError, match="ambiguous"):
             decaying_root(StParams(1.0, 1.0, 0.6), -1.0, 50)
+
+
+@st.composite
+def transfer_cases(draw):
+    """(params, lam, n) from both regimes of the biquadratic, half of them
+    within 1e-6 of the threshold st = 4, with n up to 10^12."""
+    s = draw(st.floats(0.1, 10.0))
+    if draw(st.booleans()):
+        t = 4.0 / s * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    else:
+        t = draw(st.floats(0.1, 10.0))
+    alpha = draw(st.floats(0.05, 0.95))
+    lam = draw(st.floats(-20.0, 20.0))
+    n = draw(st.one_of(st.integers(2, 10_000), st.sampled_from([10**7, 10**12])))
+    return StParams(s, t, alpha), lam, n
+
+
+def _keys(mu):
+    return [(z.real, z.imag) for z in mu]
+
+
+class TestTransferEigenvaluesProperty:
+    @settings(deadline=None, max_examples=300)
+    @given(transfer_cases())
+    @example((StParams(1.0, 1.0, 0.6), -1.0, 50))      # disc < 0
+    @example((StParams(2.0, 2.0, 0.6), -1.0, 100))     # disc > 0
+    @example((StParams(2.0, 2.0, 0.6), -1.0, 10**7))   # on st = 4
+    @example((StParams(1.0, 4.0, 0.6), -1.0, 10**12))  # on st = 4
+    @example((StParams(0.5, 3.0, 0.5), 1.0, 4))        # q = 0: disc = 0
+    def test_closed_form_roots(self, case):
+        p, lam, n = case
+        mu = transfer_eigenvalues(p, lam, n)
+        rho, q = _rho_q(p, lam, n)
+        disc = q * (q - 4.0 * rho)
+        keys = _keys(mu)
+        # sorted by (real, imag), exact +-mu pairs, no negative zeros
+        assert keys == sorted(keys)
+        assert sorted(_keys(-mu)) == keys
+        assert not np.signbit(mu.real[mu.real == 0.0]).any()
+        assert not np.signbit(mu.imag[mu.imag == 0.0]).any()
+        if disc < 0:
+            # conjugate pairs with bitwise-equal real parts
+            assert sorted(_keys(mu.conj())) == keys
+            assert (mu.imag != 0.0).all()
+        else:
+            # nu = mu^2 is real: each root is real or purely imaginary
+            assert ((mu.imag == 0.0) | (mu.real == 0.0)).all()
+        # Vieta for nu = mu^2: nu1 + nu2 = q - 2 rho, nu1 nu2 = rho^2
+        assert abs(np.prod(mu) - rho * rho) <= 1e-12 * rho * rho
+        scale = np.abs(mu).max()
+        assert abs(np.sum(mu * mu) / 2.0 - (q - 2.0 * rho)) <= 1e-12 * scale * scale
+        gap = min(abs(a - b) for a, b in itertools.combinations(mu, 2)) / scale
+        if n <= 10_000 and gap >= 1e-3:
+            # LAPACK's own error grows like eps / gap near a double root
+            dense = np.linalg.eigvals(transfer_matrix(p, lam, n).entries)
+            err = min(max(abs(mu[i] - dense[j]) for i, j in enumerate(perm))
+                      for perm in itertools.permutations(range(4)))
+            assert err <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p,lam,n", [
+        (StParams(0.01, 100.0, 0.5), 100.0, 4),   # q - 2 rho < 0, q ~ -2.5e3
+        (StParams(1.0, 1.0, 0.6), -1000.0, 2),    # q - 2 rho > 0, q ~ 4.4e5
+    ])
+    def test_small_pair_has_full_relative_accuracy(self, p, lam, n):
+        # the smaller nu against the naive quadratic formula in 40 digits,
+        # on the same float rho and q: no cancellation in the closed form
+        rho, q = _rho_q(p, lam, n)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            r, qd = decimal.Decimal(rho), decimal.Decimal(q)
+            root = (qd * (qd - 4 * r)).sqrt()
+            nu_small = min(((qd - 2 * r) + root) / 2, ((qd - 2 * r) - root) / 2,
+                           key=abs)
+            want = float(abs(nu_small).sqrt())
+        assert np.abs(transfer_eigenvalues(p, lam, n)).min() == pytest.approx(
+            want, rel=1e-14)
 
 
 class TestMuAsymptotic:
