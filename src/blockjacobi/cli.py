@@ -3,11 +3,13 @@
 Subcommands: bounds (rates and envelope tables), green (resolvent-column
 norms), eigs (eigenpairs below the edge, optionally after the rank-one
 perturbation), example (tables for the built-in 2x2 st family), verify
-(decay verification reports).
+(decay verification reports).  Each subcommand accepts exactly the flags
+it reads, listed in one table (`_COMMANDS`, over the flag table `_FLAGS`).
 
 Exit status: 0 on success with all verdicts passing, 2 when a verification
-verdict fails, 1 on input errors (unknown family, malformed file,
-parameter-domain violations).  Identical configurations produce
+verdict fails, 1 on input errors (a flag the subcommand does not read, a
+missing required flag, unknown family, malformed file, parameter-domain
+violations).  Identical configurations produce
 bitwise-identical report files; floats are rendered with 17 significant
 digits.  A command that needs blocks reads the family once, into one
 truncation that everything after it reads; verify assembles it after
@@ -113,13 +115,11 @@ def _emit(text: str, out_path):
 
 def _require(args, names):
     for name in names:
-        if getattr(args, name.replace("-", "_").lstrip("_")) is None:
+        if getattr(args, name) is None:
             raise CliError(f"--{name} is required for this command")
 
 
 def _family(args):
-    if args.family is None:
-        raise CliError("--family is required for this command")
     try:
         return parse_family_spec(args.family)
     except (OSError, ValueError, KeyError) as exc:
@@ -139,7 +139,6 @@ def _edge(args, fam) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_bounds(args) -> int:
-    _require(args, ["lambda"])
     lams = _parse_lambda(getattr(args, "lambda"))
     fam = _family(args) if args.family else None
     b = _edge(args, fam)
@@ -177,7 +176,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_green(args) -> int:
     fam = _family(args)
-    _require(args, ["lambda", "N"])
     lams = _parse_lambda(getattr(args, "lambda"))
     k = args.k if args.k is not None else 1
     if not 1 <= k <= args.N:
@@ -203,7 +201,6 @@ def _cmd_green(args) -> int:
 
 def _cmd_eigs(args) -> int:
     fam = _family(args)
-    _require(args, ["N"])
     b = _edge(args, fam)
     trunc = assemble_truncation(fam, args.N)
     pairs = eigenpairs_below(trunc, b)
@@ -294,7 +291,6 @@ def _cmd_example(args) -> int:
 
 def _cmd_verify(args) -> int:
     fam = _family(args)
-    _require(args, ["N"])
     if args.N < 20:
         raise CliError("verification needs --N >= 20 "
                        "(boundary exclusion requires headroom)")
@@ -350,41 +346,49 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.all_pass for r in reports) else 2
 
 
+_FLAGS = {
+    "family": dict(help="built-in spec (st:s=..,t=..[,alpha=..], alpha defaulting "
+                        "to 0.6; scalar-free; diagonal-test:adiag=..;..,bdiag=..;..) "
+                        "or a JSON table path"),
+    "lambda": dict(metavar="LAM",
+                   help="spectral parameter, scalar or start:stop:step grid"),
+    "b": dict(type=float, help="essential-spectrum edge"),
+    "delta": dict(type=float, default=1.0),
+    "eps": dict(type=float, default=0.1),
+    "N": dict(type=int, help="number of blocks"),
+    "k": dict(type=int, help="source block index (default 1)"),
+    "tau": dict(type=float, help="first-block perturbation size"),
+    "calib": dict(help="calibration range lo:hi"),
+    "out": dict(help="output path (verify: path prefix)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "mode": dict(choices=("green", "eigenvector", "commuting"), default="green"),
+    "table": dict(choices=("phase", "jc", "roots", "asymptotic", "levinson"),
+                  default="phase"),
+}
+
+# each subcommand accepts exactly the flags it reads; "!" marks a required one
+_COMMANDS = {
+    "bounds": ("decay rates and envelope tables",
+               "family lambda! b delta eps N out format"),
+    "green": ("resolvent-column block norms", "family! lambda! N! k out format"),
+    "eigs": ("eigenpairs below the spectral edge", "family! N! b tau out format"),
+    "example": ("tables for the built-in 2x2 st family",
+                "family! table lambda N k out"),
+    "verify": ("decay verification reports",
+               "family! mode lambda b delta eps N! k calib out format"),
+}
+
+
 def build_parser() -> _Parser:
     ap = _Parser(prog="blockjacobi",
                  description="Decay envelopes and Green-matrix numerics for "
                              "semi-bounded block Jacobi operators.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-            ("bounds", "decay rates and envelope tables"),
-            ("green", "resolvent-column block norms"),
-            ("eigs", "eigenpairs below the spectral edge"),
-            ("example", "tables for the built-in 2x2 st family"),
-            ("verify", "decay verification reports")]:
+    for name, (helptext, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
-        sp.add_argument("--family", help="built-in spec (st:s=..,t=..[,alpha=..], "
-                        "alpha defaulting to 0.6; "
-                        "scalar-free; diagonal-test:adiag=..;..,bdiag=..;..) or "
-                        "a JSON table path")
-        sp.add_argument("--lambda", dest="lambda", metavar="LAM",
-                        help="spectral parameter, scalar or start:stop:step grid")
-        sp.add_argument("--b", type=float, help="essential-spectrum edge")
-        sp.add_argument("--delta", type=float, default=1.0)
-        sp.add_argument("--eps", type=float, default=0.1)
-        sp.add_argument("--N", type=int, help="number of blocks")
-        sp.add_argument("--k", type=int, help="source block index (default 1)")
-        sp.add_argument("--tau", type=float, help="first-block perturbation size")
-        sp.add_argument("--calib", help="calibration range lo:hi")
-        sp.add_argument("--out", help="output path (verify: path prefix)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name == "verify":
-            sp.add_argument("--mode", choices=("green", "eigenvector", "commuting"),
-                            default="green")
-        if name == "example":
-            sp.add_argument("--table",
-                            choices=("phase", "jc", "roots", "asymptotic",
-                                     "levinson"),
-                            default="phase")
+        for flag in flags.split():
+            key = flag.rstrip("!")
+            sp.add_argument(f"--{key}", required=flag.endswith("!"), **_FLAGS[key])
     return ap
 
 

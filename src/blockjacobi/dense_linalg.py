@@ -543,9 +543,7 @@ class _TailStop:
 
     def __init__(self, section, x, scale):
         # floor[k + 1] = g_{k+1}, the least floor of 0-based blocks k+1..N-1
-        self.floor = np.minimum.accumulate(section.floors[::-1])[::-1].tolist()
-        with np.errstate(over="ignore"):  # an inf square: the test never holds
-            self.norm2 = (section.norms * section.norms).tolist()
+        self.floor, self.norm2 = section.tail_floors, section.norm2
         self.reach = x + _STOP_MARGIN * scale
         self.top = float(self.reach.max())
 
@@ -568,9 +566,8 @@ def _herm2_mid_rad(a, c, zz):
     return 0.5 * (a + c), np.sqrt(h * h + zz)
 
 
-def _count_d1(B, A, x, bump, stop):
-    b = B[:, 0, 0].real
-    g = abs(A[:, 0, 0]) ** 2
+def _count_d1(section, x, bump, stop):
+    b, g = section.kernel
     two_bump = 2.0 * bump
     N = b.size
     negative = np.empty((N, x.size), dtype=bool)
@@ -607,13 +604,10 @@ def _schur_coeffs_d2(A):
     return coef[..., None]
 
 
-def _count_d2(B, A, x, bump, stop):
+def _count_d2(section, x, bump, stop):
     # the Hermitian pivot D = [[a, z], [conj z, c]] is kept as the rows
     # X = (a, c, Re z, Im z) of a (4, S) array
-    z = 0.5 * (B[:, 0, 1] + B[:, 1, 0].conj())
-    base = np.stack([B[:, 0, 0].real, B[:, 1, 1].real, z.real, z.imag],
-                    axis=1)[:, :, None]
-    coef = [tuple(cf) for cf in _schur_coeffs_d2(A)]
+    base, coef = section.kernel
     shift = np.zeros((4, x.size))
     shift[:2] = x
     two_bump = 2.0 * bump
@@ -643,14 +637,15 @@ def _count_d2(B, A, x, bump, stop):
         np.count_nonzero(hi_negative[:k + 1], axis=0), k + 1
 
 
-def _count_general(B, A, x, bump, stop):
+def _count_general(section, x, bump, stop):
     # a Schur update is Hermitian only up to rounding; the count takes the
     # inertia of its Hermitian part, as the closed forms of d <= 2 do
+    B, A = section.diag_blocks, section.offdiag_blocks
+    (Ah,) = section.kernel
     N, d = B.shape[:2]
     I = np.eye(d)
     xI = x[:, None, None] * I
     two_bump = (2.0 * bump)[:, None, None] * I
-    Ah = A.conj().transpose(0, 2, 1)
     neg = np.zeros(x.size, dtype=np.int64)
     D = B[0] - xI
     for k in range(N):
@@ -695,30 +690,40 @@ def tridiag_count_below(trunc, x):
 def _count_below(trunc, x):
     """The counts below the finite 1-d shifts x, and how many blocks the
     sweep scanned (N unless the stop test ended it early).  A _Section
-    brings its Gershgorin data along; other input has it computed here."""
+    brings its shift-independent inputs along; other input has them
+    computed here."""
     section = trunc if isinstance(trunc, _Section) else _gershgorin(trunc)
-    B, A = section.diag_blocks, section.offdiag_blocks
-    scale = np.maximum(block_scale(B, A), np.abs(x))
-    count = {1: _count_d1, 2: _count_d2}.get(B.shape[1], _count_general)
-    return count(B, A, x, 1e-13 * scale, _TailStop(section, x, scale))
+    scale = np.maximum(section.scale, np.abs(x))
+    count = {1: _count_d1, 2: _count_d2}.get(section.diag_blocks.shape[1],
+                                             _count_general)
+    return count(section, x, 1e-13 * scale, _TailStop(section, x, scale))
 
 
 class _Section(NamedTuple):
-    """Blocks of T with their block Gershgorin data: per block k the floor
-    lambda_min(B_k) - r_k and the ceiling lambda_max(B_k) + r_k of its rows,
-    r_k = ||A_{k-1}|| + ||A_k||, and norms[k] = ||A_k||.  A multisection
-    computes it once and hands it to every count in place of the blocks
-    (a NamedTuple: a frozen dataclass costs ~2 ms more at import)."""
+    """Blocks of T with all that a count reads and no shift changes.  The
+    block Gershgorin data: per block k the floor lambda_min(B_k) - r_k and
+    the ceiling lambda_max(B_k) + r_k of its rows, r_k = ||A_{k-1}|| +
+    ||A_k||, with tail_floors[k] the least floor of blocks k..N-1 and
+    norm2[k] = ||A_k||^2 (lists, for the stop test).  The problem scale.
+    The kernel's inputs: d = 1 the diagonal and |A_k|^2, d = 2 the pivot
+    rows (a, c, Re z, Im z) of B_k and the Schur coefficients, d >= 3 the
+    A_k^*.  A multisection computes it once and hands it to every count in
+    place of the blocks (a NamedTuple: a frozen dataclass costs ~2 ms more
+    at import)."""
 
     diag_blocks: np.ndarray
     offdiag_blocks: np.ndarray
     floors: np.ndarray
     ceilings: np.ndarray
-    norms: np.ndarray
+    tail_floors: list
+    norm2: list
+    scale: float
+    kernel: tuple
 
 
 def _gershgorin(trunc) -> _Section:
-    """The blocks of trunc and their block Gershgorin data."""
+    """The blocks of trunc, their block Gershgorin data and the count's
+    other shift-independent inputs."""
     B, A = _unpack_blocks(trunc)
     norms = spectral_norm(A)
     r = np.zeros(B.shape[0])
@@ -727,15 +732,27 @@ def _gershgorin(trunc) -> _Section:
     d = B.shape[1]
     if d == 1:
         lo = hi = B[:, 0, 0].real
+        kernel = lo, abs(A[:, 0, 0]) ** 2
     elif d == 2:
         z = B[:, 0, 1]  # hypot: np.abs on an array is one ulp off it on many entries
         mid, rad = _herm2_mid_rad(B[:, 0, 0].real, B[:, 1, 1].real,
                                   np.hypot(z.real, z.imag) ** 2)
         lo, hi = mid - rad, mid + rad
+        # the count's pivot rows take z from both triangles of B_k
+        z = 0.5 * (B[:, 0, 1] + B[:, 1, 0].conj())
+        kernel = (np.stack([B[:, 0, 0].real, B[:, 1, 1].real, z.real, z.imag],
+                           axis=1)[:, :, None],
+                  [tuple(cf) for cf in _schur_coeffs_d2(A)])
     else:
         ev = hermitian_eig(B).values
         lo, hi = ev[:, 0], ev[:, -1]
-    return _Section(B, A, lo - r, hi + r, norms)
+        kernel = (A.conj().transpose(0, 2, 1),)
+    floors = lo - r
+    with np.errstate(over="ignore"):  # an inf square: the stop test never holds
+        norm2 = (norms * norms).tolist()
+    return _Section(B, A, floors, hi + r,
+                    np.minimum.accumulate(floors[::-1])[::-1].tolist(), norm2,
+                    block_scale(B, A), kernel)
 
 
 def _gershgorin_bounds(section: _Section) -> tuple[float, float]:
@@ -773,8 +790,8 @@ def _multisection(blocks, ks, tol, edge=None):
     slot (a shift counts the same alone or in any batch) and its count
     fixes them.  Returns (c, eigenvalues), c None without an edge.  A tol
     that is not finite and > 0 raises ValueError (bisection to it would
-    never end).  Every count gets the Gershgorin data computed here, for
-    its stop test.
+    never end).  Every count gets the _Section computed here: its
+    Gershgorin data, for the stop test, and the kernel's inputs.
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")

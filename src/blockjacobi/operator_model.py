@@ -226,10 +226,15 @@ def diagonal_family(adiag, bdiag, aexp: float = 0.0, bexp: float = 0.0,
 
 
 def _parse_entry(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+    """A number or an [re, im] pair of numbers; a bool, a string or an
+    integer beyond the float range is not one."""
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    try:
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in parts):
+            return complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        pass
     raise ValueError(f"matrix entry must be a number or an [re, im] pair, got {v!r}")
 
 

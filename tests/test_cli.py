@@ -497,6 +497,22 @@ class TestMalformedTable:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"malformed family table: {message}" in lines[0]
 
+    @pytest.mark.parametrize("entry", [True, ["1", 0], 10**400, [0, 10**400]],
+                             ids=["bool", "pair-string", "int-beyond-float",
+                                  "pair-int-beyond-float"])
+    def test_malformed_entry_is_one_line_input_error(self, entry, tmp_path, capsys):
+        blocks = [{"n": n, "A": [1], "B": [0]} for n in (1, 2, 3)]
+        blocks[1]["A"] = [entry]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 1, "blocks": blocks}))
+        code, _, err = run_cli(["eigs", "--family", str(path), "--N=3", "--b=5"],
+                               capsys)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "matrix entry must be a number or an [re, im] pair" in lines[0]
+
+
 class TestVectorScalarParameter:
     @pytest.mark.parametrize("family,key", [
         ("st:s=1;2,t=2", "s"),
@@ -513,6 +529,69 @@ class TestVectorScalarParameter:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"parameter {key} takes one number" in lines[0]
+
+
+# the flag contract: each subcommand accepts the flags it reads, "!" marking
+# the required ones, and a smallest argv it runs on
+FLAG_TABLE = {
+    "bounds": ("family lambda! b delta eps N out format", "--lambda=-1 --b=0"),
+    "green": ("family! lambda! N! k out format",
+              "--family=st:s=2,t=2 --lambda=-1 --N=8"),
+    "eigs": ("family! N! b tau out format", "--family=st:s=2,t=2 --N=8 --b=3"),
+    "example": ("family! table lambda N k out", "--family=st:s=2,t=2"),
+    "verify": ("family! mode lambda b delta eps N! k calib out format",
+               "--family=st:s=2,t=2 --N=20 --lambda=-1 --b=0"),
+}
+SHARED_FLAGS = "family lambda b delta eps N k tau calib out format".split()
+FLAG_VALUES = {"family": "st:s=2,t=2", "lambda": "-1", "b": "0", "delta": "1",
+               "eps": "0.1", "N": "20", "k": "1", "tau": "0.1", "calib": "5:15",
+               "out": "report", "format": "csv", "mode": "green", "table": "phase"}
+
+
+def _row(command):
+    return [f.rstrip("!") for f in FLAG_TABLE[command][0].split()]
+
+
+class TestFlagTable:
+    unread = [(c, f) for c in FLAG_TABLE for f in SHARED_FLAGS if f not in _row(c)]
+    required = [(c, f[:-1]) for c in FLAG_TABLE
+                for f in FLAG_TABLE[c][0].split() if f.endswith("!")]
+
+    def test_twenty_unread_pairs(self):
+        assert len(self.unread) == 20
+        assert sum(len(_row(c)) for c in FLAG_TABLE) == 37
+
+    @pytest.mark.parametrize("command", FLAG_TABLE)
+    def test_accepts_its_row(self, command):
+        for flag in _row(command):
+            args = cli.build_parser().parse_args(
+                [command, *FLAG_TABLE[command][1].split(),
+                 f"--{flag}={FLAG_VALUES[flag]}"])
+            assert getattr(args, flag) is not None
+
+    @pytest.mark.parametrize("command,flag", unread,
+                             ids=[f"{c}-{f}" for c, f in unread])
+    def test_unread_flag_is_one_line_input_error(self, command, flag, capsys):
+        code, out, err = run_cli(
+            [command, *FLAG_TABLE[command][1].split(),
+             f"--{flag}={FLAG_VALUES[flag]}"], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == (f"error: unrecognized arguments: "
+                            f"--{flag}={FLAG_VALUES[flag]}")
+
+    @pytest.mark.parametrize("command,flag", required,
+                             ids=[f"{c}-{f}" for c, f in required])
+    def test_missing_required_flag_is_one_line_input_error(self, command, flag,
+                                                            capsys):
+        argv = [a for a in FLAG_TABLE[command][1].split()
+                if not a.startswith(f"--{flag}=")]
+        code, out, err = run_cli([command, *argv], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == f"error: the following arguments are required: --{flag}"
 
 
 class TestSubprocessEntry:

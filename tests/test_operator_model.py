@@ -314,6 +314,28 @@ class TestFamilyConstruction:
                 f"malformed family table: edge_b = {edge!r}, expected a finite number")):
             table_family(doc)
 
+    @pytest.mark.parametrize("entry", [True, [True, 0], [1, False], "1", ["1", 0],
+                                       [1, None], [1, 2, 3], 10**400, [10**400, 0],
+                                       [0, -10**400]],
+                             ids=["bool", "pair-bool-re", "pair-bool-im", "string",
+                                  "pair-string", "pair-null", "triple",
+                                  "int-beyond-float", "pair-int-beyond-float-re",
+                                  "pair-int-beyond-float-im"])
+    def test_table_family_entry_must_be_number_or_pair(self, entry):
+        # no entry is coerced into a different matrix, and none raises
+        # anything but the input error
+        doc = {"dim": 1, "blocks": [{"n": 1, "A": [entry], "B": [0]}]}
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix entry must be a number or an [re, im] pair, got {entry!r}")):
+            table_family(doc)
+
+    def test_table_family_entry_values(self):
+        fam = table_family({"dim": 2, "blocks": [
+            {"n": 1, "A": [1, 2.5, [0, -1], [3, 0.5]], "B": [-1, [2, 1], [2, -1], 7]}]})
+        A, B = block_entries(fam, 1)
+        assert np.array_equal(A, [[1, 2.5], [-1j, 3 + 0.5j]])
+        assert np.array_equal(B, [[-1, 2 + 1j], [2 - 1j, 7]])
+
     def test_table_family_integer_edge(self):
         fam = table_family({"dim": 1, "blocks": [{"n": 1, "A": [1], "B": [0]}],
                             "edge_b": -2})

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,6 +273,14 @@ class TestLevinsonProfile:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             levinson_profile(P06, -1.0, 1, 10)
+
+    def test_log_product_correctly_rounded(self):
+        # the sum of 4991 logs is the exact rational sum, rounded once
+        logs = [math.log(abs(decaying_root(P06, -1.0, k)))
+                for k in range(10, 5001)]
+        prof = levinson_profile(P06, -1.0, 10, 5000)
+        assert prof.log_product == float(sum(Fraction(x) for x in logs))
+        assert prof.product == math.exp(prof.log_product)
 
 
 class TestJcLowerBound:
