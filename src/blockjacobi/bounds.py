@@ -28,9 +28,7 @@ __all__ = [
     "phi_delta",
     "gamma_rate",
     "simplified_rate",
-    "simplified_regime_params",
     "scalar_envelope",
-    "operator_envelope",
     "check_pairwise_commutation",
     "qualified_constant",
 ]
@@ -130,14 +128,6 @@ def simplified_rate(p: BoundParams) -> float:
     return (1.0 - p.eps) * math.sqrt(p.gap)
 
 
-def simplified_regime_params(p: BoundParams) -> BoundParams:
-    """Enlarge delta so (b - Re lambda)(1 - eps)/delta <= 0.01, where
-    psi_inv(t) ~ sqrt(t) within 5%; gamma then nearly matches the
-    simplified rate."""
-    needed = p.gap * (1.0 - p.eps) / 0.01
-    return replace(p, delta=max(p.delta, needed))
-
-
 @dataclass(frozen=True)
 class DecayEnvelope:
     """Envelope data: bound between indices j, k is
@@ -145,7 +135,8 @@ class DecayEnvelope:
 
     cumulative holds S_1..S_N (S_1 = 0, nondecreasing, increments at most
     1/sqrt(delta)), weighted by phi_delta(||A_k||); the commuting refinement
-    keeps its operator weights as matrices (see operator_envelope)."""
+    keeps its operator weights as matrices, exp(gamma * P) of the partial
+    sums P of _phi_partial_sums (see green_spectral.verify_commuting_decay)."""
 
     gamma: float
     cumulative: np.ndarray
@@ -257,20 +248,6 @@ def _phi_partial_sums(trunc: Truncation, delta: float) -> np.ndarray:
     d = trunc.dim
     phis = psd_matfunc(abs_matrix(trunc.offdiag_blocks), lambda x: phi_delta(x, delta))
     return np.cumsum(np.concatenate([np.zeros((1, d, d), np.complex128), phis]), axis=0)
-
-
-def operator_envelope(trunc: Truncation, p: BoundParams) -> list:
-    """Commuting-refinement weights W_m = exp(gamma sum_{k<m} phi_delta(|A_k|))
-    for m = 1..N.
-
-    W_1 = I.  Requires the pairwise commutation check to pass on the
-    truncation's entries.
-    """
-    check_pairwise_commutation(trunc)
-    gam = gamma_rate(p)
-    partials = _phi_partial_sums(trunc, p.delta)
-    return [np.eye(trunc.dim, dtype=np.complex128)] + \
-        list(psd_matfunc(partials[1:], lambda x: math.exp(gam * x)))
 
 
 def qualified_constant(p: BoundParams, M: int, dist_sigma: float,

@@ -4,7 +4,11 @@ Subcommands: bounds (rates and envelope tables), green (resolvent-column
 norms), eigs (eigenpairs below the edge, optionally after the rank-one
 perturbation), example (tables for the built-in 2x2 st family), verify
 (decay verification reports).  Each subcommand accepts exactly the flags
-it reads, listed in one table (`_COMMANDS`, over the flag table `_FLAGS`).
+it reads, listed in one table (`_COMMANDS`, over the flag table `_FLAGS`);
+a flag that another flag's value leaves unread (bounds --N without the
+envelope table, example --k outside levinson, example --lambda or --N
+with the phase or jc table, verify --mode eigenvector with both --lambda
+and --k) is an input error too.
 
 Exit status: 0 on success with all verdicts passing, 2 when a verification
 verdict fails, 1 on input errors (a flag the subcommand does not read, a
@@ -139,6 +143,10 @@ def _edge(args, fam) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_bounds(args) -> int:
+    # --N sizes the envelope table, which only a CSV --out receives
+    if args.N is not None and not (args.family and args.out and args.format == "csv"):
+        raise CliError("--N sets the envelope table, which needs --family "
+                       "and a CSV --out")
     lams = _parse_lambda(getattr(args, "lambda"))
     fam = _family(args) if args.family else None
     b = _edge(args, fam)
@@ -150,26 +158,26 @@ def _cmd_bounds(args) -> int:
         for lam, gam, simp, _ in rows:
             print(f"lambda={_fmt_complex(lam)} gamma={_fmt(gam)} "
                   f"simplified_rate={_fmt(simp)}")
-    lines = [CSV_HEADER,
-             f"# command=bounds b={_fmt(b)} delta={_fmt(args.delta)} "
-             f"eps={_fmt(args.eps)}"]
-    if fam is not None and args.N is not None:
-        # S_m depends on delta alone, so one envelope serves every lambda
-        S = scalar_envelope(assemble_truncation(fam, args.N), rows[0][3]).cumulative
-        lines.append("lambda,index,cumulative,envelope")
-        for lam, gam, _, _ in rows:
-            for m in range(1, args.N + 1):
-                lines.append(f"{_fmt_complex(lam)},{m},{_fmt(S[m-1])},"
-                             f"{_fmt(np.exp(-gam * S[m-1]))}")
-    else:
-        lines.append("lambda,gamma,simplified_rate")
-        for lam, gam, simp, _ in rows:
-            lines.append(f"{_fmt_complex(lam)},{_fmt(gam)},{_fmt(simp)}")
     if args.format == "json":
         payload = [{"lambda": [r[0].real, r[0].imag], "gamma": r[1],
                     "simplified_rate": r[2]} for r in rows]
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     elif args.out:
+        lines = [CSV_HEADER,
+                 f"# command=bounds b={_fmt(b)} delta={_fmt(args.delta)} "
+                 f"eps={_fmt(args.eps)}"]
+        if args.N is not None:
+            # S_m depends on delta alone, so one envelope serves every lambda
+            S = scalar_envelope(assemble_truncation(fam, args.N), rows[0][3]).cumulative
+            lines.append("lambda,index,cumulative,envelope")
+            for lam, gam, _, _ in rows:
+                for m in range(1, args.N + 1):
+                    lines.append(f"{_fmt_complex(lam)},{m},{_fmt(S[m-1])},"
+                                 f"{_fmt(np.exp(-gam * S[m-1]))}")
+        else:
+            lines.append("lambda,gamma,simplified_rate")
+            for lam, gam, simp, _ in rows:
+                lines.append(f"{_fmt_complex(lam)},{_fmt(gam)},{_fmt(simp)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -237,6 +245,11 @@ def _cmd_example(args) -> int:
     if not isinstance(p, StParams):
         raise CliError("example tables need --family st:s=..,t=..[,alpha=..]")
     table = args.table
+    if args.k is not None and table != "levinson":
+        raise CliError(f"--k is read only by --table=levinson, not {table}")
+    if table in ("phase", "jc") and (getattr(args, "lambda") is not None
+                                     or args.N is not None):
+        raise CliError(f"--table={table} reads neither --lambda nor --N")
     lines = [CSV_HEADER,
              f"# command=example table={table} s={_fmt(p.s)} t={_fmt(p.t)} "
              f"alpha={_fmt(p.alpha)}"]
@@ -261,10 +274,10 @@ def _cmd_example(args) -> int:
                 ns.append(n)
                 n *= 2
             if not ns or ns[-1] != args.N:
-                ns.append(max(args.N, 2))
+                ns.append(args.N)
         else:
             mus = mu_asymptotic
-            ns = sorted({max(2, args.N // 100), max(2, args.N // 10), max(2, args.N)})
+            ns = sorted({max(2, args.N // 100), max(2, args.N // 10), args.N})
         for n in ns:
             vals = ",".join(f"{_fmt(m.real)},{_fmt(m.imag)}" for m in mus(p, lam, n))
             lines.append(f"{n},{vals}")
@@ -273,7 +286,7 @@ def _cmd_example(args) -> int:
         lam = _single_lambda(args).real
         n0 = args.k if args.k is not None else 10
         lines.append("n0,n,log_product,log_closed_form,product,closed_form")
-        prof = levinson_profile(p, lam, max(2, n0), args.N)
+        prof = levinson_profile(p, lam, n0, args.N)
         lines.append(f"{prof.n0},{prof.n},{_fmt(prof.log_product)},"
                      f"{_fmt(prof.log_closed_form)},{_fmt(prof.product)},"
                      f"{_fmt(prof.closed_form)}")
@@ -300,6 +313,9 @@ def _cmd_verify(args) -> int:
     lam_text = getattr(args, "lambda")
 
     if mode == "eigenvector":
+        if lam_text is not None and args.k is not None:
+            raise CliError("--lambda and --k both select the eigenvalue in "
+                           "eigenvector mode; give one")
         if lam_text is not None:
             target = _single_lambda(args).real
             which = ("nearest", target)

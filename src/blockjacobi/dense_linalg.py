@@ -4,7 +4,8 @@ Hermitian eigendecomposition (cyclic Jacobi rotations), matrix absolute
 value and spectral functions, block-tridiagonal LU solves, inertia-based
 eigenvalue multisection and inverse iteration.  Everything here is
 deterministic: fixed sweep orders, fixed starting configurations, no
-randomness.
+randomness.  The block-tridiagonal kernels take a Truncation and read its
+complex128 arrays diag_blocks (N, d, d) and offdiag_blocks (N-1, d, d).
 
 Spectral queries count eigenvalues below a whole vector of shifts in one
 block LDL* sweep, which stops once the rest of the matrix cannot add a
@@ -43,7 +44,6 @@ __all__ = [
     "BlockTridiagLU",
     "block_scale",
     "block_tridiag_factor",
-    "block_tridiag_solve",
     "tridiag_apply",
     "tridiag_count_below",
     "tridiag_kth_eigenvalue",
@@ -383,21 +383,6 @@ class BlockTridiagLU:
         return y.reshape(np.shape(self.shift) + R.shape)
 
 
-def _unpack_blocks(trunc):
-    """Diagonal and off-diagonal blocks as (N, d, d) and (N-1, d, d) complex
-    arrays, from a Truncation-like object (diag_blocks/offdiag_blocks
-    attributes) or a plain (diag_blocks, offdiag_blocks) pair."""
-    if hasattr(trunc, "diag_blocks"):
-        trunc = trunc.diag_blocks, trunc.offdiag_blocks
-    diag_blocks, offdiag_blocks = trunc
-    B = np.asarray(diag_blocks, dtype=np.complex128)
-    if B.ndim != 3 or B.shape[0] == 0:
-        raise ValueError("empty truncation")
-    N, d = B.shape[:2]
-    A = np.asarray(offdiag_blocks, dtype=np.complex128).reshape(N - 1, d, d)
-    return B, A
-
-
 def block_scale(diag_blocks, offdiag_blocks) -> float:
     """Largest entry magnitude over all blocks, floored at 1e-300: the
     problem scale of relative tolerances and pivot nudges."""
@@ -422,7 +407,7 @@ def block_tridiag_factor(trunc, shift,
     shifts arbitrarily close to eigenvalues remain usable (inverse iteration
     relies on this).
     """
-    diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
+    diag_blocks, offdiag_blocks = trunc.diag_blocks, trunc.offdiag_blocks
     N, d = diag_blocks.shape[:2]
     shifts = np.atleast_1d(np.asarray(shift, dtype=np.complex128))
     if np.ndim(shift) > 1:
@@ -474,15 +459,10 @@ def block_tridiag_factor(trunc, shift,
         factors, perms, transforms, forwards)))
 
 
-def block_tridiag_solve(trunc, shift, rhs) -> np.ndarray:
-    """One-shot factor + solve of (T - shift*I) X = rhs."""
-    return block_tridiag_factor(trunc, shift).solve(rhs)
-
-
 def tridiag_apply(trunc, x) -> np.ndarray:
     """Matrix-vector product T @ x for the assembled block tridiagonal, one
     stacked matmul per neighbour: B_k x_k + A_{k-1}^* x_{k-1} + A_k x_{k+1}."""
-    diag_blocks, offdiag_blocks = _unpack_blocks(trunc)
+    diag_blocks, offdiag_blocks = trunc.diag_blocks, trunc.offdiag_blocks
     N, d = diag_blocks.shape[:2]
     X = np.asarray(x, dtype=np.complex128)
     Xb = X.reshape(N, d, -1)
@@ -724,7 +704,7 @@ class _Section(NamedTuple):
 def _gershgorin(trunc) -> _Section:
     """The blocks of trunc, their block Gershgorin data and the count's
     other shift-independent inputs."""
-    B, A = _unpack_blocks(trunc)
+    B, A = trunc.diag_blocks, trunc.offdiag_blocks
     norms = spectral_norm(A)
     r = np.zeros(B.shape[0])
     r[1:] += norms
@@ -773,7 +753,7 @@ def _halvings(brackets, depth: int) -> np.ndarray:
     return edges
 
 
-def _multisection(blocks, ks, tol, edge=None):
+def _multisection(trunc, ks, tol, edge=None):
     """Eigenvalues k in ks (1-based) as midpoints of brackets no wider than
     tol (default 1e-13 * max(1, |lo|, |hi|) over the Gershgorin bracket).
 
@@ -795,11 +775,11 @@ def _multisection(blocks, ks, tol, edge=None):
     """
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    section = _gershgorin(blocks)
+    section = _gershgorin(trunc)
     lo, hi = _gershgorin_bounds(section)
     if tol is None:
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-    n = blocks[0].shape[0] * blocks[0].shape[1]
+    n = trunc.dense_dim
     start = (lo - tol, hi + tol)
     brackets = [start] * (len(ks) if edge is None else 1)
     count, extra = None, [] if edge is None else [edge]
@@ -835,11 +815,10 @@ def _multisection(blocks, ks, tol, edge=None):
 def tridiag_kth_eigenvalue(trunc, k: int, tol: float | None = None) -> float:
     """k-th smallest eigenvalue (1-based) by inertia multisection; a tol
     that is not finite and > 0 raises ValueError."""
-    B, A = _unpack_blocks(trunc)
-    n = B.shape[0] * B.shape[1]
+    n = trunc.dense_dim
     if not 1 <= k <= n:
         raise ValueError(f"eigenvalue index {k} out of range 1..{n}")
-    return float(_multisection((B, A), [k], tol)[1][0])
+    return float(_multisection(trunc, [k], tol)[1][0])
 
 
 def tridiag_eigs_below(trunc, b: float, tol: float | None = None,
@@ -852,10 +831,9 @@ def tridiag_eigs_below(trunc, b: float, tol: float | None = None,
     """
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
-    B, A = _unpack_blocks(trunc)
-    n = B.shape[0] * B.shape[1]
+    n = trunc.dense_dim
     # offsets 1 - n .. above from the count below b: indices 1..count + above
-    count, vals = _multisection((B, A), range(1 - n, above + 1), tol, edge=b)
+    count, vals = _multisection(trunc, range(1 - n, above + 1), tol, edge=b)
     return vals[:count], vals[count:]
 
 
@@ -873,8 +851,7 @@ def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU,
     projected out each step, which resolves members of a degenerate
     cluster one at a time.
     """
-    blocks = _unpack_blocks(trunc)
-    N, d = blocks[0].shape[:2]
+    N, d = trunc.nblocks, trunc.dim
     if start is None:
         x = np.zeros(N * d, dtype=np.complex128)
         x[:d] = 1.0 / np.sqrt(d)
@@ -888,5 +865,5 @@ def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU,
         if nrm == 0.0 or not np.isfinite(nrm):
             raise ArithmeticError("inverse iteration produced a null vector")
         x = x / nrm
-    rq = float(np.real(np.vdot(x, tridiag_apply(blocks, x))))
+    rq = float(np.real(np.vdot(x, tridiag_apply(trunc, x))))
     return x, rq

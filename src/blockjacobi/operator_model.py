@@ -19,16 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .dense_linalg import (block_scale, spectral_norm, tridiag_apply,
-                           _sigma_min)
+from .dense_linalg import block_scale, spectral_norm, _sigma_min
 
 __all__ = [
     "OperatorFamily",
     "Truncation",
     "block_entries",
     "assemble_truncation",
-    "apply_upsilon",
-    "carleman_sum",
     "offdiag_kernel_flags",
     "scalar_free_family",
     "diagonal_family",
@@ -147,37 +144,6 @@ def assemble_truncation(family: OperatorFamily, N: int) -> Truncation:
     diags.setflags(write=False)
     offs.setflags(write=False)
     return Truncation(family.label, diags, offs)
-
-
-def apply_upsilon(family: OperatorFamily, u) -> np.ndarray:
-    """Second-order difference expression on a finitely supported sequence.
-
-    u is an (M, d) array (or list of M length-d vectors), M >= 2, read as
-    zero-padded beyond M.  Returns the (M, d) array with rows
-    B_1 u_1 + A_1 u_2 and A_{k-1}^* u_{k-1} + B_k u_k + A_k u_{k+1}: the
-    M-block truncation applied to u.
-    """
-    U = np.asarray(u, dtype=np.complex128)
-    if U.ndim != 2 or U.shape[1] != family.dim:
-        raise ValueError(
-            f"expected an (M, {family.dim}) array of block components, got {U.shape}")
-    M = U.shape[0]
-    if M < 2:
-        raise ValueError("need at least two block components")
-    return tridiag_apply(assemble_truncation(family, M), U.ravel()).reshape(M, family.dim)
-
-
-def carleman_sum(family: OperatorFamily, N: int) -> float:
-    """Partial sum of 1/||A_m|| for m = 1..N (self-adjointness diagnostic;
-    divergence as N grows indicates a self-adjoint operator).  Only the
-    partial sum is reported; no limit is claimed."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    norms = spectral_norm(np.array([block_entries(family, n)[0]
-                                    for n in range(1, N + 1)])).tolist()
-    if 0.0 in norms:
-        raise ValueError(f"||A_{norms.index(0.0) + 1}|| = 0: Carleman term undefined")
-    return float(np.cumsum(1.0 / np.array(norms))[-1])  # summed in index order
 
 
 def offdiag_kernel_flags(trunc: Truncation) -> list[bool]:

@@ -25,13 +25,9 @@ from .operator_model import OperatorFamily
 
 __all__ = [
     "StParams",
-    "TransferMatrix",
     "PhaseClass",
     "LevinsonProfile",
     "st_family",
-    "constant_st_family",
-    "transfer_matrix",
-    "transfer_char_coeffs",
     "transfer_eigenvalues",
     "decaying_root",
     "mu_asymptotic",
@@ -77,64 +73,18 @@ def st_family(p: StParams) -> OperatorFamily:
                           label=f"st(s={s},t={t},alpha={alpha})", params=p)
 
 
-def constant_st_family(s: float, t: float) -> OperatorFamily:
-    """Constant-entry comparison operator: A_n = [[0,1],[1,0]], B_n = diag(s,t).
-    Its spectrum is bounded below by jc_lower_bound(s, t)."""
-    if not (s > 0 and t > 0):
-        raise ValueError(f"s, t must be positive, got s={s}, t={t}")
-    A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    B = np.array([[s, 0.0], [0.0, t]], dtype=np.complex128)
-    return OperatorFamily(2, lambda n: A.copy(), lambda n: B.copy(),
-                          label=f"st-const(s={s},t={t})")
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """4x4 one-step propagator of the recurrence at spectral parameter lam:
-    [[0, I], [-A_n^{-1} A_{n-1}, A_n^{-1}(lam I - B_n)]]."""
-
-    n: int
-    lam: float
-    entries: np.ndarray
-
-
-def transfer_matrix(p: StParams, lam: float, n: int) -> TransferMatrix:
-    """n >= 2 (the step uses A_{n-1}).  A_n is invertible since r_n > 0."""
-    if n < 2:
-        raise ValueError(f"transfer matrix needs n >= 2, got {n}")
-    rn = float(n) ** p.alpha
-    rn1 = float(n - 1) ** p.alpha
-    sn = p.s * rn
-    tn = p.t * rn
-    M = np.zeros((4, 4))
-    M[0, 2] = 1.0
-    M[1, 3] = 1.0
-    # A_n^{-1} A_{n-1} = (r_{n-1}/r_n) I
-    M[2, 0] = -(rn1 / rn)
-    M[3, 1] = -(rn1 / rn)
-    # A_n^{-1} (lam I - B_n) = (1/r_n) [[0, lam - t_n], [lam - s_n, 0]]
-    M[2, 3] = (lam - tn) / rn
-    M[3, 2] = (lam - sn) / rn
-    return TransferMatrix(n, lam, M)
-
-
 def _rho_q(p: StParams, lam: float, n: int) -> tuple[float, float]:
-    """rho and q of the transfer biquadratic (see transfer_char_coeffs)."""
+    """rho and q of the transfer biquadratic.  The transfer matrix is the 4x4
+    one-step propagator [[0, I], [-A_n^{-1} A_{n-1}, A_n^{-1}(lam I - B_n)]]
+    of the recurrence (n >= 2, as the step uses A_{n-1}); Schur reduction of
+    det(transfer - mu I) = 0 gives mu^4 + (2 rho - q) mu^2 + rho^2 with
+    rho = ((n-1)/n)^alpha and q = (lam - t_n)(lam - s_n) / r_n^2."""
     if n < 2:
         raise ValueError(f"transfer matrix needs n >= 2, got {n}")
     rho = ((n - 1) / n) ** p.alpha
     rn = float(n) ** p.alpha
     q = (lam - p.t * rn) * (lam - p.s * rn) / (rn * rn)
     return rho, q
-
-
-def transfer_char_coeffs(p: StParams, lam: float, n: int) -> np.ndarray:
-    """Exact characteristic polynomial of the transfer matrix, ascending
-    coefficients.  Schur reduction of det(transfer - mu I) = 0 gives the
-    biquadratic mu^4 + (2 rho - q) mu^2 + rho^2 with rho = ((n-1)/n)^alpha
-    and q = (lam - t_n)(lam - s_n) / r_n^2."""
-    rho, q = _rho_q(p, lam, n)
-    return np.array([rho * rho, 0.0, 2.0 * rho - q, 0.0, 1.0])
 
 
 def transfer_eigenvalues(p: StParams, lam: float, n: int) -> np.ndarray:
@@ -196,6 +146,8 @@ def mu_asymptotic(p: StParams, lam: float, n: int) -> np.ndarray:
         raise ValueError(f"asymptotic form needs alpha in (1/2, 1), got {p.alpha}")
     if not lam < 0:
         raise ValueError(f"asymptotic form needs lambda < 0, got {lam}")
+    if n < 2:
+        raise ValueError(f"asymptotic form needs n >= 2, got {n}")
     a = 1j * np.sqrt(complex(lam)) / 2.0 * math.sqrt(p.s + p.t) * n ** (-p.alpha / 2)
     h = -(p.s + p.t) * lam / (8.0 * float(n) ** p.alpha)
     vals = np.array([-(1.0 + a + h), -(1.0 - a + h), 1.0 + a + h, 1.0 - a + h])

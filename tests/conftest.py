@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from blockjacobi import OperatorFamily, StParams, st_family
+from blockjacobi import (OperatorFamily, StParams, Truncation, gamma_rate,
+                         psd_matfunc, st_family)
+from blockjacobi.bounds import _phi_partial_sums
 
 
 def random_family(seed: int, d: int, complex_entries: bool = False) -> OperatorFamily:
@@ -23,6 +27,25 @@ def random_family(seed: int, d: int, complex_entries: bool = False) -> OperatorF
         return ((M + M.conj().T) / 2).astype(np.complex128)
 
     return OperatorFamily(d, offdiag, diag, label=f"random(seed={seed},d={d})")
+
+
+def blocks_truncation(diag_blocks, offdiag_blocks) -> Truncation:
+    """Read-only complex Truncation of explicit blocks B_1..B_N and
+    A_1..A_{N-1}, as assemble_truncation builds it (an empty off-diagonal
+    list is the N = 1 case)."""
+    B = np.array(diag_blocks, dtype=np.complex128)
+    A = np.array(offdiag_blocks, dtype=np.complex128).reshape(len(B) - 1, *B.shape[1:])
+    B.setflags(write=False)
+    A.setflags(write=False)
+    return Truncation("blocks", B, A)
+
+
+def commuting_weights(trunc: Truncation, p) -> np.ndarray:
+    """The commuting refinement's weights W_m = exp(gamma P_m), m = 1..N, as
+    verify_commuting_decay builds them for source block k = 1: P_m are the
+    operator partial sums sum_{i<m} phi_delta(|A_i|), so W_1 = I."""
+    gam = gamma_rate(p)
+    return psd_matfunc(_phi_partial_sums(trunc, p.delta), lambda x: math.exp(gam * x))
 
 
 def shift_first_block(family: OperatorFamily, shift: float) -> OperatorFamily:

@@ -8,11 +8,16 @@ as they ran before they shared work: the edge count as a sweep of its own
 before the multisection, and inverse iteration factoring each eigenvalue's
 shift alone, and the inertia count running every sweep to the last block.
 Also a block problem with one ill-conditioned pivot, shared by the factor
-tests.
+tests, and the oracles of the st family's closed forms: the dense 4x4
+transfer matrix behind transfer_eigenvalues, and the constant-entry
+comparison operator behind jc_lower_bound.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from blockjacobi import OperatorFamily, StParams
 from blockjacobi import dense_linalg as dl
 
 
@@ -214,11 +219,10 @@ def mid_chain_problem():
 def reference_eigs_below(trunc, b, tol=None):
     """Eigenvalues below b as a one-shift count followed by a multisection
     for indices 1..count (none when the count is 0)."""
-    blocks = dl._unpack_blocks(trunc)
-    count = dl.tridiag_count_below(blocks, b)
+    count = dl.tridiag_count_below(trunc, b)
     if count == 0:
         return np.zeros(0)
-    return dl._multisection(blocks, list(range(1, count + 1)), tol)[1]
+    return dl._multisection(trunc, list(range(1, count + 1)), tol)[1]
 
 
 def reference_eigenpairs_below(trunc, b, tol=None):
@@ -262,7 +266,7 @@ def reference_count_below(trunc, x):
     the library's closed forms and for d >= 3 by its stacked hermitian_eig
     and pivot-block LU (_lu_factor_stack, _lu_solve_stack), with the same
     pivot nudges."""
-    B, A = dl._unpack_blocks(trunc)
+    B, A = trunc.diag_blocks, trunc.offdiag_blocks
     x = np.asarray(x, dtype=float)
     bump = 1e-13 * np.maximum(dl.block_scale(B, A), np.abs(x))
     count = {1: _full_count_d1, 2: _full_count_d2}.get(B.shape[1], _full_count_general)
@@ -340,3 +344,45 @@ def _full_count_general(B, A, x, bump):
         Y = dl._lu_solve_stack(LU, perm, np.broadcast_to(A[k], D.shape).copy())
         D = (B[k + 1] - xI) - Ah[k] @ Y
     return neg
+
+
+@dataclass(frozen=True)
+class TransferMatrix:
+    """4x4 one-step propagator of the recurrence at spectral parameter lam:
+    [[0, I], [-A_n^{-1} A_{n-1}, A_n^{-1}(lam I - B_n)]]."""
+
+    n: int
+    lam: float
+    entries: np.ndarray
+
+
+def transfer_matrix(p: StParams, lam: float, n: int) -> TransferMatrix:
+    """The st family's transfer matrix, entry by entry; n >= 2 (the step
+    uses A_{n-1}).  A_n is invertible since r_n > 0."""
+    if n < 2:
+        raise ValueError(f"transfer matrix needs n >= 2, got {n}")
+    rn = float(n) ** p.alpha
+    rn1 = float(n - 1) ** p.alpha
+    sn = p.s * rn
+    tn = p.t * rn
+    M = np.zeros((4, 4))
+    M[0, 2] = 1.0
+    M[1, 3] = 1.0
+    # A_n^{-1} A_{n-1} = (r_{n-1}/r_n) I
+    M[2, 0] = -(rn1 / rn)
+    M[3, 1] = -(rn1 / rn)
+    # A_n^{-1} (lam I - B_n) = (1/r_n) [[0, lam - t_n], [lam - s_n, 0]]
+    M[2, 3] = (lam - tn) / rn
+    M[3, 2] = (lam - sn) / rn
+    return TransferMatrix(n, lam, M)
+
+
+def constant_st_family(s: float, t: float) -> OperatorFamily:
+    """Constant-entry comparison operator: A_n = [[0,1],[1,0]], B_n = diag(s,t).
+    Its spectrum is bounded below by jc_lower_bound(s, t)."""
+    if not (s > 0 and t > 0):
+        raise ValueError(f"s, t must be positive, got s={s}, t={t}")
+    A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    B = np.array([[s, 0.0], [0.0, t]], dtype=np.complex128)
+    return OperatorFamily(2, lambda n: A.copy(), lambda n: B.copy(),
+                          label=f"st-const(s={s},t={t})")

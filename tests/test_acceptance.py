@@ -16,12 +16,13 @@ from blockjacobi import (BoundParams, StParams, assemble_truncation,
                          green_column, mu_asymptotic, perturbed_truncation,
                          phase_class, psi, psi_inv, scalar_envelope,
                          scalar_free_family, spectral_norm, st_family,
-                         transfer_eigenvalues, transfer_matrix,
-                         tridiag_kth_eigenvalue, verify_commuting_decay,
-                         verify_eigenvector_decay, verify_green_decay)
+                         transfer_eigenvalues, tridiag_kth_eigenvalue,
+                         verify_commuting_decay, verify_eigenvector_decay,
+                         verify_green_decay)
 from blockjacobi.st_family import PhaseClass
 
-from conftest import random_family, shift_first_block
+from conftest import commuting_weights, random_family, shift_first_block
+from reference_kernels import constant_st_family, transfer_matrix
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -77,7 +78,7 @@ def test_c02_linear_algebra_oracles():
         tr = assemble_truncation(fam, N)
         lam = complex(-6 + rng.standard_normal(), -1 + 0.3 * rng.standard_normal())
         rhs = rng.standard_normal((N * d, 2)) + 1j * rng.standard_normal((N * d, 2))
-        X = bj.block_tridiag_solve(tr, lam, rhs)
+        X = bj.block_tridiag_factor(tr, lam).solve(rhs)
         Xd = np.linalg.solve(tr.dense() - lam * np.eye(N * d), rhs)
         worst_solve = max(worst_solve, float(np.abs(X - Xd).max() / np.abs(Xd).max()))
     worst_eig = 0.0
@@ -198,7 +199,7 @@ def test_c08_commuting_refinement():
     sum_ok = rel_sum[:270].max() <= 1e-9
 
     # operator weight dominates the scalar-norm weight at every index
-    weights = bj.operator_envelope(tr2, p)
+    weights = commuting_weights(tr2, p)
     env_norm = scalar_envelope(tr2, p)
     weight_ok = all(
         np.linalg.eigvalsh(W)[0] >= math.exp(gam * env_norm.cumulative[m]) * (1 - 1e-10)
@@ -214,13 +215,13 @@ def test_c09_constant_family_lower_bound():
     ok = True
     for s, t in ((2.0, 2.0), (3.0, 3.0), (2.0, 8.0), (1.0, 4.0)):
         bound = bj.jc_lower_bound(s, t)
-        fam = bj.constant_st_family(s, t)
+        fam = constant_st_family(s, t)
         for N in (50, 100, 200, 400):
             gap = bound - tridiag_kth_eigenvalue(assemble_truncation(fam, N), 1)
             worst = max(worst, gap)
             ok = ok and gap <= 1e-12
     conv = tridiag_kth_eigenvalue(
-        assemble_truncation(bj.constant_st_family(3.0, 3.0), 400), 1)
+        assemble_truncation(constant_st_family(3.0, 3.0), 400), 1)
     conv_ok = abs(conv - 1.0) <= 1e-2
     report("constant-family spectral lower bound", ok and conv_ok,
            f"worst bound violation {worst:.2e}, min eig(N=400, s=t=3) {conv:.6f}")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from blockjacobi import assemble_truncation, green_column, parse_family_spec
 from blockjacobi import dense_linalg as dl
+from conftest import blocks_truncation
 from reference_kernels import mid_chain_problem, reference_apply, reference_factor, reference_solve
 
 FIELDS = ("pivot_lu", "pivot_perm", "transform_blocks", "forward_blocks")
@@ -64,15 +65,16 @@ class TestShiftBatchedFactor:
     @given(grid_problems(), st.booleans())
     def test_grid_equals_per_shift_and_reference(self, problem, check):
         B, A, shifts, rhs = problem
-        alone = [outcome(lambda s=s: dl.block_tridiag_factor((B, A), s, check))
+        tr = blocks_truncation(B, A)
+        alone = [outcome(lambda s=s: dl.block_tridiag_factor(tr, s, check))
                  for s in shifts]
         failures = [a for a in alone if isinstance(a, str)]
         if failures:
             with pytest.raises(dl.SingularShiftError) as err:
-                dl.block_tridiag_factor((B, A), shifts, check)
+                dl.block_tridiag_factor(tr, shifts, check)
             assert str(err.value) == failures[0]
         else:
-            grid = dl.block_tridiag_factor((B, A), shifts, check)
+            grid = dl.block_tridiag_factor(tr, shifts, check)
             X = grid.solve(rhs)
             assert X.shape == (shifts.size,) + rhs.shape
             for i, (s, one) in enumerate(zip(shifts, alone)):
@@ -88,7 +90,7 @@ class TestShiftBatchedFactor:
                 assert same_bits(getattr(one, name), ref[key]), name
             assert same_bits(one.solve(rhs), reference_solve(ref, rhs))
             # the one-member grid is the scalar shift with a leading axis
-            member = dl.block_tridiag_factor((B, A), np.array([s]), check)
+            member = dl.block_tridiag_factor(tr, np.array([s]), check)
             for name in FIELDS:
                 assert same_bits(getattr(member, name)[0], getattr(one, name))
             assert same_bits(member.solve(rhs)[0], one.solve(rhs))
@@ -97,7 +99,7 @@ class TestShiftBatchedFactor:
         B = np.array([np.diag([1.0, 2.0])] * 4, dtype=complex)
         A = np.array([0.5 * np.eye(2)] * 3, dtype=complex)
         shifts = np.array([-1.0, 1.0, 2.0 + 0.5j])
-        grid = dl.block_tridiag_factor((B, A), shifts, check_conditioning=False)
+        grid = dl.block_tridiag_factor(blocks_truncation(B, A), shifts, check_conditioning=False)
         assert grid.pivot_lu[1, 0, 0, 0] != 0.0
         for i, s in enumerate(shifts):
             ref = reference_factor(B, A, s, check_conditioning=False)
@@ -108,28 +110,30 @@ class TestShiftBatchedFactor:
         B = np.array([np.eye(2)] * 3, dtype=complex)
         A = np.zeros((2, 2, 2), dtype=complex)
         with pytest.raises(ValueError, match="scalar or 1-d"):
-            dl.block_tridiag_factor((B, A), np.zeros((2, 2)))
+            dl.block_tridiag_factor(blocks_truncation(B, A), np.zeros((2, 2)))
 
 
 class TestGridErrors:
     def test_ill_conditioned_point_mid_grid_raises_its_own_text(self):
         B, A = mid_chain_problem()
+        tr = blocks_truncation(B, A)
         with pytest.raises(dl.SingularShiftError) as alone:
-            dl.block_tridiag_factor((B, A), 0.0)
+            dl.block_tridiag_factor(tr, 0.0)
         assert alone.value.block_index == 3
         with pytest.raises(dl.SingularShiftError) as err:
-            dl.block_tridiag_factor((B, A), np.array([-1.0, -0.5, 0.0, -2.0]))
+            dl.block_tridiag_factor(tr, np.array([-1.0, -0.5, 0.0, -2.0]))
         assert str(err.value) == str(alone.value)
 
     def test_first_failing_point_in_input_order_wins(self):
         # shift 0 fails at pivot 3 (ill-conditioned), shift 3 at pivot 1
         # (exactly singular: B_1 = diag(3, 2)); each grid names its first
         B, A = mid_chain_problem()
-        texts = [outcome(lambda s=s: dl.block_tridiag_factor((B, A), s)) for s in (0.0, 3.0)]
+        tr = blocks_truncation(B, A)
+        texts = [outcome(lambda s=s: dl.block_tridiag_factor(tr, s)) for s in (0.0, 3.0)]
         assert texts[1] == str(dl.SingularShiftError(1, np.inf))
         for order in ([0.0, 3.0], [3.0, 0.0]):
             with pytest.raises(dl.SingularShiftError) as err:
-                dl.block_tridiag_factor((B, A), np.array([-1.0] + order))
+                dl.block_tridiag_factor(tr, np.array([-1.0] + order))
             assert str(err.value) == texts[[0.0, 3.0].index(order[0])]
 
     def test_green_grid_raises_like_its_point(self):
@@ -163,9 +167,10 @@ class TestStackedApply:
         rng = np.random.default_rng(10 * d + N)
         B = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
         A = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
+        tr = blocks_truncation(B, A)
         for shape in [(N * d,), (N * d, 1), (N * d, 3)]:
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = dl.tridiag_apply((B, A), x)
+            got = dl.tridiag_apply(tr, x)
             assert same_bits(got, reference_apply(B, A, x))
 
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from blockjacobi import (BoundParams, CommutationError, OperatorFamily, StParams,
                          assemble_truncation, check_pairwise_commutation,
-                         simplified_regime_params, diagonal_family, gamma_rate,
-                         operator_envelope, parse_family_spec, phi_delta, psi,
-                         psi_inv, qualified_constant, scalar_envelope,
-                         scalar_free_family, simplified_rate, spectral_norm,
-                         st_family, verify_commuting_decay)
+                         diagonal_family, gamma_rate, parse_family_spec,
+                         phi_delta, psi, psi_inv, qualified_constant,
+                         scalar_envelope, scalar_free_family, simplified_rate,
+                         spectral_norm, st_family, verify_commuting_decay)
 from blockjacobi import bounds
+from conftest import commuting_weights
 
 
 class TestBoundParams:
@@ -133,15 +133,6 @@ class TestSimplifiedRate:
         ratio = gamma_rate(p) / simplified_rate(p)
         assert 0.95 <= ratio <= 1.05
 
-    def test_simplified_regime_params_match_simplified_within_5pct(self):
-        for gap in (0.5, 3.0, 40.0):
-            p = BoundParams(lam=-gap, b=0.0, delta=1.0, eps=0.1)
-            pc = simplified_regime_params(p)
-            assert pc.gap * (1 - pc.eps) / pc.delta <= 0.01 + 1e-15
-            target = math.sqrt(pc.gap * (1 - pc.eps))
-            assert gamma_rate(pc) == pytest.approx(target, rel=0.05)
-            assert gamma_rate(pc) <= target
-
 
 class TestScalarEnvelope:
     def test_scalar_free_cumulative(self):
@@ -171,11 +162,14 @@ class TestScalarEnvelope:
 
 
 class TestOperatorEnvelope:
+    """The commuting refinement's operator weights, as the verify path builds
+    them (conftest.commuting_weights), and its commutation check."""
+
     def test_antidiagonal_reduces_to_scalar(self):
         fam = st_family(StParams(2, 2, 0.6))
         p = BoundParams(lam=-1.0, b=0.0)
         tr = assemble_truncation(fam, 6)
-        weights = operator_envelope(tr, p)
+        weights = commuting_weights(tr, p)
         env = scalar_envelope(tr, p)
         for m, W in enumerate(weights, start=1):
             scalar = math.exp(env.gamma * env.cumulative[m - 1])
@@ -183,21 +177,21 @@ class TestOperatorEnvelope:
 
     def test_first_weight_is_identity(self):
         fam = diagonal_family([1, 4], [0, 0])
-        weights = operator_envelope(assemble_truncation(fam, 3), BoundParams(lam=-1.0, b=0.0))
+        weights = commuting_weights(assemble_truncation(fam, 3), BoundParams(lam=-1.0, b=0.0))
         assert np.array_equal(weights[0], np.eye(2))
 
     def test_diagonal_entrywise_weight(self):
         # A_k = diag(1, 4), delta 1: phi values 1 and 1/2 per step
         fam = diagonal_family([1.0, 4.0], [0.0, 0.0])
         p = BoundParams(lam=-math.e / 0.9, b=0.0)  # gamma = 1
-        W2 = operator_envelope(assemble_truncation(fam, 2), p)[1]
+        W2 = commuting_weights(assemble_truncation(fam, 2), p)[1]
         assert np.allclose(np.diag(W2).real, [math.e, math.exp(0.5)], rtol=1e-12)
 
     def test_min_eig_dominates_scalar_weight(self):
         fam = diagonal_family([1.0, 4.0], [0.0, 0.0], aexp=0.3)
         p = BoundParams(lam=-2.0, b=0.0)
         tr = assemble_truncation(fam, 8)
-        weights = operator_envelope(tr, p)
+        weights = commuting_weights(tr, p)
         env = scalar_envelope(tr, p)
         for m, W in enumerate(weights, start=1):
             lo = np.linalg.eigvalsh(W)[0]
@@ -207,7 +201,7 @@ class TestOperatorEnvelope:
     def test_noncommuting_family_rejected(self):
         fam = st_family(StParams(1, 4, 0.5))  # s != t: A and B do not commute
         with pytest.raises(CommutationError, match="do not commute"):
-            operator_envelope(assemble_truncation(fam, 4), BoundParams(lam=-1.0, b=0.0))
+            verify_commuting_decay(assemble_truncation(fam, 4), BoundParams(lam=-1.0, b=0.0))
 
     def test_commutation_check_names_pair(self):
         fam = st_family(StParams(1, 4, 0.5))

@@ -306,6 +306,19 @@ class TestExample:
         assert code == 1
         assert "single value" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        ("--table=roots --lambda=-1 --N=-5", "transfer matrix needs n >= 2, got -5"),
+        ("--table=roots --lambda=-1 --N=1", "transfer matrix needs n >= 2, got 1"),
+        ("--table=asymptotic --lambda=-1 --N=0", "asymptotic form needs n >= 2, got 0"),
+        ("--table=levinson --lambda=-1 --N=50 --k=-3", "need 2 <= n0 <= n, got n0=-3, n=50"),
+    ], ids=["roots-N=-5", "roots-N=1", "asymptotic-N=0", "levinson-k=-3"])
+    def test_sizes_below_two_are_input_errors(self, argv, message, capsys):
+        # the table sizes are the user's, never raised to 2
+        code, out, err = run_cli(
+            ["example", "--family", "st:s=2,t=2,alpha=0.6", *argv.split()], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_needs_st_family(self, capsys):
         code, _, err = run_cli(
             ["example", "--family", "scalar-free", "--table=phase"], capsys)
@@ -592,6 +605,41 @@ class TestFlagTable:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0] == f"error: the following arguments are required: --{flag}"
+
+    # flags that the value of another flag leaves unread
+    unread_by_value = {
+        "verify-eigenvector-lambda-and-k": (
+            "verify --family=st:s=2,t=2 --N=20 --b=0 --mode=eigenvector "
+            "--lambda=-1 --k=1", "--lambda and --k both select the eigenvalue"),
+        "bounds-N-without-out": (
+            "bounds --family=st:s=2,t=2 --N=5 --lambda=-1", "--N sets the envelope table"),
+        "bounds-N-json-out": (
+            "bounds --family=st:s=2,t=2 --N=5 --lambda=-1 --format=json --out=env.json",
+            "--N sets the envelope table"),
+        "example-k-outside-levinson": (
+            "example --family=st:s=2,t=2 --table=roots --lambda=-1 --N=8 --k=3",
+            "--k is read only by --table=levinson"),
+        "example-lambda-N-with-phase": (
+            "example --family=st:s=2,t=2 --table=phase --lambda=-1 --N=5",
+            "--table=phase reads neither --lambda nor --N"),
+        "example-N-with-jc": (
+            "example --family=st:s=3,t=3 --table=jc --N=5",
+            "--table=jc reads neither --lambda nor --N"),
+    }
+
+    @pytest.mark.parametrize("argv,message", unread_by_value.values(),
+                             ids=unread_by_value)
+    def test_flag_unread_by_value_is_one_line_input_error(self, argv, message,
+                                                          tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "assemble_truncation", None)  # nothing is computed
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " + message)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSubprocessEntry:

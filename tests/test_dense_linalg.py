@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import dense_linalg as dl
+from conftest import blocks_truncation
 from reference_kernels import reference_count_below
 
 
@@ -200,7 +201,7 @@ class TestBlockTridiagSolve:
         B = random_hermitian(rng, 3, complex_entries=False)
         lam = -2.0 - 1.0j
         rhs = rng.standard_normal((3, 2)).astype(complex)
-        X = dl.block_tridiag_solve(([B.astype(complex)], []), lam, rhs)
+        X = dl.block_tridiag_factor(blocks_truncation([B], []), lam).solve(rhs)
         assert np.allclose((B - lam * np.eye(3)) @ X, rhs, atol=1e-12)
 
     def test_near_identity(self):
@@ -209,7 +210,7 @@ class TestBlockTridiagSolve:
         As = [1e-14 * np.eye(d, dtype=complex)] * (N - 1)
         e1 = np.zeros((N * d, 1), complex)
         e1[0] = 1.0
-        X = dl.block_tridiag_solve((Bs, As), 0.0, e1)
+        X = dl.block_tridiag_factor(blocks_truncation(Bs, As), 0.0).solve(e1)
         assert np.abs(X - e1).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -222,16 +223,17 @@ class TestBlockTridiagSolve:
         T = dense_from_blocks(Bs, As)
         rhs = (rng.standard_normal((N * d, 2))
                + 1j * rng.standard_normal((N * d, 2)))
-        X = dl.block_tridiag_solve((Bs, As), lam, rhs)
+        X = dl.block_tridiag_factor(blocks_truncation(Bs, As), lam).solve(rhs)
         Xd = np.linalg.solve(T - lam * np.eye(N * d), rhs)
         assert np.abs(X - Xd).max() <= 1e-8 * np.abs(Xd).max()
 
     def test_residual_contract(self):
         rng = np.random.default_rng(29)
         Bs, As = random_block_problem(rng, 3, 40)
+        tr = blocks_truncation(Bs, As)
         rhs = rng.standard_normal((120, 1)).astype(complex)
-        X = dl.block_tridiag_solve((Bs, As), -4.0, rhs)
-        resid = dl.tridiag_apply((Bs, As), X) - (-4.0) * X - rhs
+        X = dl.block_tridiag_factor(tr, -4.0).solve(rhs)
+        resid = dl.tridiag_apply(tr, X) - (-4.0) * X - rhs
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_factorization_recurrence(self):
@@ -240,7 +242,7 @@ class TestBlockTridiagSolve:
         rng = np.random.default_rng(31)
         Bs, As = random_block_problem(rng, 2, 8)
         lam = -3.0
-        fac = dl.block_tridiag_factor((Bs, As), lam)
+        fac = dl.block_tridiag_factor(blocks_truncation(Bs, As), lam)
         D = Bs[0] - lam * np.eye(2)
         for k in range(7):
             T = np.linalg.solve(D, As[k])
@@ -251,34 +253,36 @@ class TestBlockTridiagSolve:
         Bs = [np.eye(2, dtype=complex) for _ in range(5)]
         As = [1e-16 * np.eye(2, dtype=complex) for _ in range(4)]
         with pytest.raises(dl.SingularShiftError) as err:
-            dl.block_tridiag_solve((Bs, As), 1.0, np.zeros((10, 1)))
+            dl.block_tridiag_factor(blocks_truncation(Bs, As), 1.0).solve(np.zeros((10, 1)))
         assert err.value.block_index == 1
 
     def test_conditioning_estimates_recorded(self, monkeypatch):
         # every estimate lies in [1, COND_LIMIT]; a limit of 1 names pivot 1
         rng = np.random.default_rng(37)
         Bs, As = random_block_problem(rng, 2, 10)
-        dl.block_tridiag_factor((Bs, As), -6.0)
+        tr = blocks_truncation(Bs, As)
+        dl.block_tridiag_factor(tr, -6.0)
         monkeypatch.setattr(dl, "COND_LIMIT", 1.0)
         with pytest.raises(dl.SingularShiftError) as err:
-            dl.block_tridiag_factor((Bs, As), -6.0)
+            dl.block_tridiag_factor(tr, -6.0)
         assert err.value.block_index == 1 and 1.0 < err.value.cond < 1e12
-        dl.block_tridiag_factor((Bs, As), -6.0, check_conditioning=False)
+        dl.block_tridiag_factor(tr, -6.0, check_conditioning=False)
 
 
 class TestInertiaBisection:
     def test_count_matches_lapack(self):
         rng = np.random.default_rng(41)
         Bs, As = random_block_problem(rng, 2, 30)
+        tr = blocks_truncation(Bs, As)
         w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
         for x in (-3.0, -1.0, 0.0, 0.5, 2.0):
-            assert dl.tridiag_count_below((Bs, As), x) == int((w < x).sum())
+            assert dl.tridiag_count_below(tr, x) == int((w < x).sum())
 
     def test_eigs_below_match_lapack(self):
         rng = np.random.default_rng(43)
         Bs, As = random_block_problem(rng, 3, 20)
         w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
-        got, _ = dl.tridiag_eigs_below((Bs, As), -1.0)
+        got, _ = dl.tridiag_eigs_below(blocks_truncation(Bs, As), -1.0)
         want = w[w < -1.0]
         assert got.size == want.size
         if got.size:
@@ -287,16 +291,17 @@ class TestInertiaBisection:
     def test_kth_eigenvalue(self):
         rng = np.random.default_rng(47)
         Bs, As = random_block_problem(rng, 2, 15)
+        tr = blocks_truncation(Bs, As)
         w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
         for k in (1, 7, 30):
-            assert dl.tridiag_kth_eigenvalue((Bs, As), k) == pytest.approx(w[k - 1], abs=1e-10)
+            assert dl.tridiag_kth_eigenvalue(tr, k) == pytest.approx(w[k - 1], abs=1e-10)
 
     def test_free_jacobi_min_eigenvalue(self):
         # scalar free Jacobi truncation: eigenvalues 2 cos(j pi / (N+1))
         N = 50
         Bs = [np.zeros((1, 1), complex)] * N
         As = [np.ones((1, 1), complex)] * (N - 1)
-        got = dl.tridiag_kth_eigenvalue((Bs, As), 1)
+        got = dl.tridiag_kth_eigenvalue(blocks_truncation(Bs, As), 1)
         assert got == pytest.approx(-2 * np.cos(np.pi / (N + 1)), abs=1e-11)
 
 
@@ -321,16 +326,17 @@ class TestInertiaProperties:
     @given(problems, st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=12))
     def test_counts(self, problem, fracs):
         Bs, As = complex_block_problem(*problem)
+        tr = blocks_truncation(Bs, As)
         w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
         span = max(w[-1] - w[0], 1.0)
         xs = np.sort(w[0] + span * np.array(fracs))
-        got = dl.tridiag_count_below((Bs, As), xs)
+        got = dl.tridiag_count_below(tr, xs)
         assert got.dtype.kind == "i" and got.shape == xs.shape
         # each shift's count is bitwise independent of the batch around it
-        single = [dl.tridiag_count_below((Bs, As), x) for x in xs]
+        single = [dl.tridiag_count_below(tr, x) for x in xs]
         assert all(isinstance(c, int) for c in single)
         assert got.tolist() == single
-        assert np.array_equal(got, reference_count_below((Bs, As), xs))
+        assert np.array_equal(got, reference_count_below(tr, xs))
         assert np.all(np.diff(got) >= 0)
         far = np.abs(xs[:, None] - w[None, :]).min(axis=1) > 1e-8 * span
         want = (w[None, :] < xs[:, None]).sum(axis=1)
@@ -340,9 +346,10 @@ class TestInertiaProperties:
     @given(problems)
     def test_multisection_eigenvalues(self, problem):
         Bs, As = complex_block_problem(*problem)
+        tr = blocks_truncation(Bs, As)
         w = np.linalg.eigvalsh(dense_from_blocks(Bs, As))
         n = w.size
-        lo, hi = dl._gershgorin_bounds(dl._gershgorin((Bs, As)))
+        lo, hi = dl._gershgorin_bounds(dl._gershgorin(tr))
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
         j = min(3, n)
         # The count carries rounding error of its own, amplified by nearly
@@ -353,25 +360,25 @@ class TestInertiaProperties:
         # its midpoint within tol.
         lam = w[sorted({0, j - 1, n - 1})]
         probes = np.concatenate([lam - 0.5 * tol, lam + 0.5 * tol])
-        assume(np.array_equal(dl.tridiag_count_below((Bs, As), probes),
+        assume(np.array_equal(dl.tridiag_count_below(tr, probes),
                               (w[None, :] < probes[:, None]).sum(axis=1)))
         for k in {1, n}:
-            assert abs(dl.tridiag_kth_eigenvalue((Bs, As), k) - w[k - 1]) <= tol
+            assert abs(dl.tridiag_kth_eigenvalue(tr, k) - w[k - 1]) <= tol
         b = w[j - 1] + 1.0 if j == n else 0.5 * (w[j - 1] + w[j])
-        below, _ = dl.tridiag_eigs_below((Bs, As), b)
+        below, _ = dl.tridiag_eigs_below(tr, b)
         assert below.shape == (j,)
         assert np.all(np.abs(below - w[:j]) <= tol)
-        again, _ = dl.tridiag_eigs_below((Bs, As), b)
+        again, _ = dl.tridiag_eigs_below(tr, b)
         assert again.tobytes() == below.tobytes()
 
     @settings(deadline=None, max_examples=20)
     @given(problems)
     def test_index_out_of_range(self, problem):
         Bs, As = complex_block_problem(*problem)
-        n = len(Bs) * Bs[0].shape[0]
-        for k in (0, n + 1):
+        tr = blocks_truncation(Bs, As)
+        for k in (0, tr.dense_dim + 1):
             with pytest.raises(ValueError, match="out of range"):
-                dl.tridiag_kth_eigenvalue((Bs, As), k)
+                dl.tridiag_kth_eigenvalue(tr, k)
 
     @settings(deadline=None, max_examples=15)
     @given(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
@@ -379,21 +386,22 @@ class TestInertiaProperties:
     def test_multisection_is_bisection(self, problem, frac):
         # bisection with single-shift counts on the same bracket
         Bs, As = complex_block_problem(*problem)
+        tr = blocks_truncation(Bs, As)
         n = len(Bs) * Bs[0].shape[0]
         k = 1 + int(frac * (n - 1))
-        lo, hi = dl._gershgorin_bounds(dl._gershgorin((Bs, As)))
+        lo, hi = dl._gershgorin_bounds(dl._gershgorin(tr))
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
         lo, hi = lo - tol, hi + tol
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if dl.tridiag_count_below((Bs, As), mid) >= k:
+            if dl.tridiag_count_below(tr, mid) >= k:
                 hi = mid
             else:
                 lo = mid
         want = 0.5 * (lo + hi)
-        assert dl.tridiag_kth_eigenvalue((Bs, As), k) == want
+        assert dl.tridiag_kth_eigenvalue(tr, k) == want
         # count(hi) >= k, so the k-th eigenvalue is among those below hi
-        below, _ = dl.tridiag_eigs_below((Bs, As), hi)
+        below, _ = dl.tridiag_eigs_below(tr, hi)
         assert below.size >= k and below[k - 1] == want
 
 
@@ -401,12 +409,13 @@ class TestInverseIteration:
     def test_matches_dense_eigenvector(self):
         rng = np.random.default_rng(53)
         Bs, As = random_block_problem(rng, 2, 25)
+        tr = blocks_truncation(Bs, As)
         T = dense_from_blocks(Bs, As)
         w, V = np.linalg.eigh(T)
-        lam = dl.tridiag_kth_eigenvalue((Bs, As), 1)
-        lu = dl.block_tridiag_factor((Bs, As), lam + 1e-11 * max(1.0, abs(lam)),
+        lam = dl.tridiag_kth_eigenvalue(tr, 1)
+        lu = dl.block_tridiag_factor(tr, lam + 1e-11 * max(1.0, abs(lam)),
                                      check_conditioning=False)
-        x, rq = dl.tridiag_inverse_iteration((Bs, As), lu)
+        x, rq = dl.tridiag_inverse_iteration(tr, lu)
         assert rq == pytest.approx(w[0], abs=1e-10)
         assert abs(np.vdot(V[:, 0], x)) == pytest.approx(1.0, abs=1e-9)
 

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 
 from blockjacobi import assemble_truncation, parse_family_spec
 from blockjacobi import dense_linalg as dl
-from conftest import shift_first_block
+from conftest import blocks_truncation, shift_first_block
 from reference_kernels import reference_count_below
 
 
 def well_problem(seed, d, width, N=40):
-    """Growing positive blocks B_n ~ 3 n^0.6 I plus a little Hermitian
-    noise, couplings of norm 0.8 n^0.6, and the first `width` blocks
-    lowered by a depth in [10, 30): bound states far below the tail's
-    Gershgorin floors."""
+    """Truncation with growing positive blocks B_n ~ 3 n^0.6 I plus a little
+    Hermitian noise, couplings of norm 0.8 n^0.6, and the first `width`
+    blocks lowered by a depth in [10, 30): bound states far below the
+    tail's Gershgorin floors."""
     rng = np.random.default_rng(seed)
     grow = np.arange(1, N + 1) ** 0.6
     M = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
@@ -29,7 +29,7 @@ def well_problem(seed, d, width, N=40):
     B[:width] -= rng.uniform(10.0, 30.0) * np.eye(d)
     G = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
     A = 0.8 * grow[:-1, None, None] * G / np.linalg.norm(G, 2, axis=(1, 2))[:, None, None]
-    return B, A
+    return blocks_truncation(B, A)
 
 
 def with_ulps(w):
@@ -56,25 +56,25 @@ class TestWellCorpus:
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 4]), st.integers(1, 3))
     def test_stop_fires_and_counts_are_unchanged(self, seed, d, width):
-        B, A = well_problem(seed, d, width)
-        w = np.linalg.eigvalsh(dl.tridiag_apply((B, A), np.eye(B.shape[0] * d)))
+        tr = well_problem(seed, d, width)
+        w = np.linalg.eigvalsh(dl.tridiag_apply(tr, np.eye(tr.dense_dim)))
         # the bound states, at eigvalsh's eigenvalues and one ulp either side
-        bound = with_ulps(w[w < dl._gershgorin((B, A)).floors[width:].min() - 1.0])
+        bound = with_ulps(w[w < dl._gershgorin(tr).floors[width:].min() - 1.0])
         assert bound.size >= 3 * d
-        assert assert_like_reference((B, A), bound) < B.shape[0]
+        assert assert_like_reference(tr, bound) < tr.nblocks
         # the whole spectrum, where most sweeps run to the end
-        assert_like_reference((B, A), with_ulps(w), alone=False)
+        assert_like_reference(tr, with_ulps(w), alone=False)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_no_stop_before_a_last_negative_pivot(self, d):
         # every pivot is positive but the last: the floor of the rest always
         # includes block N, so no sweep may end early
         N = 40
-        B = np.array([5.0 * np.eye(d)] * (N - 1) + [-5.0 * np.eye(d)], dtype=complex)
-        A = np.array([np.eye(d)] * (N - 1), dtype=complex)
+        tr = blocks_truncation([5.0 * np.eye(d)] * (N - 1) + [-5.0 * np.eye(d)],
+                               [np.eye(d)] * (N - 1))
         xs = np.array([-4.0, 0.0, 2.0])
-        assert assert_like_reference((B, A), xs) == N
-        assert dl.tridiag_count_below((B, A), 0.0) == d
+        assert assert_like_reference(tr, xs) == N
+        assert dl.tridiag_count_below(tr, 0.0) == d
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_huge_couplings_count_without_overflow_warning(self, scale):
@@ -85,13 +85,13 @@ class TestWellCorpus:
         M = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
         B = M + M.conj().transpose(0, 2, 1)
         A = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
-        w = np.linalg.eigvalsh(dl.tridiag_apply((B, A), np.eye(N * d)))
-        B, A, xs = scale * B, scale * A, scale * 0.5 * (w[1:] + w[:-1])
+        w = np.linalg.eigvalsh(dl.tridiag_apply(blocks_truncation(B, A), np.eye(N * d)))
+        tr, xs = blocks_truncation(scale * B, scale * A), scale * 0.5 * (w[1:] + w[:-1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = dl.tridiag_count_below((B, A), xs)
+            got = dl.tridiag_count_below(tr, xs)
         assert got.tolist() == list(range(1, N * d))
-        assert np.array_equal(got, reference_count_below((B, A), xs))
+        assert np.array_equal(got, reference_count_below(tr, xs))
 
 
 class TestWorkloadQueries:

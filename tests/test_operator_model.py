@@ -5,11 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from blockjacobi import (OperatorFamily, StParams, apply_upsilon,
-                         assemble_truncation, block_entries, builtin_family,
-                         carleman_sum, diagonal_family, eigenpairs_below,
-                         parse_family_spec, scalar_free_family, st_family,
-                         table_family, tridiag_kth_eigenvalue)
+from blockjacobi import (OperatorFamily, StParams, assemble_truncation,
+                         block_entries, builtin_family, diagonal_family,
+                         eigenpairs_below, parse_family_spec, scalar_free_family,
+                         st_family, table_family, tridiag_kth_eigenvalue)
 from blockjacobi.dense_linalg import tridiag_apply
 from blockjacobi.operator_model import offdiag_kernel_flags
 
@@ -114,11 +113,15 @@ class TestAssembleTruncation:
 
 
 class TestApplyUpsilon:
+    """The second-order difference expression on a finitely supported
+    sequence u_1..u_M: the M-block truncation applied to u (tridiag_apply),
+    rows B_1 u_1 + A_1 u_2 and A_{k-1}^* u_{k-1} + B_k u_k + A_k u_{k+1}."""
+
     def test_scalar_free_shift(self):
-        u = np.zeros((5, 1))
-        u[0, 0] = 1.0
-        out = apply_upsilon(scalar_free_family(), u)
-        assert np.allclose(out.ravel(), [0, 1, 0, 0, 0])
+        u = np.zeros(5)
+        u[0] = 1.0
+        out = tridiag_apply(assemble_truncation(scalar_free_family(), 5), u)
+        assert np.allclose(out, [0, 1, 0, 0, 0])
 
     @pytest.mark.parametrize("seed,d", [(5, 1), (6, 2), (7, 3)])
     def test_matches_dense_oracle(self, seed, d):
@@ -126,7 +129,7 @@ class TestApplyUpsilon:
         rng = np.random.default_rng(seed)
         M = 8
         u = rng.standard_normal((M, d)) + 1j * rng.standard_normal((M, d))
-        out = apply_upsilon(fam, u)
+        out = tridiag_apply(assemble_truncation(fam, M), u.ravel()).reshape(M, d)
         T = assemble_truncation(fam, M + 1).dense()
         padded = np.zeros(((M + 1) * d,), complex)
         padded[:M * d] = u.ravel()
@@ -139,52 +142,8 @@ class TestApplyUpsilon:
         N = 60
         tr = assemble_truncation(st_deep, N)
         pair = eigenpairs_below(tr, 0.0)[0]
-        u = pair.vector.reshape(N, 2)
-        out = apply_upsilon(st_deep, u)
-        resid = out - pair.value * u
+        resid = tridiag_apply(tr, pair.vector) - pair.value * pair.vector
         assert np.abs(resid).max() < 1e-8
-
-    @pytest.mark.parametrize("seed,d,M", [(5, 1, 2), (6, 2, 8), (7, 3, 5)])
-    def test_bitwise_equal_to_truncation_apply(self, seed, d, M):
-        fam = random_family(seed, d, complex_entries=True)
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal((M, d)) + 1j * rng.standard_normal((M, d))
-        want = tridiag_apply(assemble_truncation(fam, M), u.ravel())
-        assert np.array_equal(apply_upsilon(fam, u), want.reshape(M, d))
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError, match="expected"):
-            apply_upsilon(scalar_free_family(), np.zeros((4, 2)))
-
-    def test_rejects_short_sequence(self):
-        with pytest.raises(ValueError, match="two"):
-            apply_upsilon(scalar_free_family(), np.zeros((1, 1)))
-
-
-class TestCarlemanSum:
-    def test_scalar_free(self):
-        assert carleman_sum(scalar_free_family(), 100) == pytest.approx(100.0)
-
-    def test_st_alpha_half_partial(self):
-        fam = st_family(StParams(2, 2, 0.5))
-        want = sum(m ** -0.5 for m in range(1, 5))
-        assert carleman_sum(fam, 4) == pytest.approx(want, abs=1e-10)
-        assert carleman_sum(fam, 4) == pytest.approx(2.784457050376173, abs=1e-9)
-
-    def test_convergent_trend_flagged_by_partial_sums(self):
-        # aexp = 2 gives sum m^-2 -> pi^2/6: partial sums visibly level off
-        fam = diagonal_family([1.0], [0.0], aexp=2.0)
-        s10 = carleman_sum(fam, 10)
-        s100 = carleman_sum(fam, 100)
-        assert s10 == pytest.approx(sum(m ** -2.0 for m in range(1, 11)), abs=1e-12)
-        assert s10 == pytest.approx(1.54977, abs=1e-5)
-        assert s100 - s10 < 0.1  # convergent trend
-        assert s100 < np.pi ** 2 / 6
-
-    def test_zero_norm_rejected(self):
-        fam = diagonal_family([0.0], [1.0])
-        with pytest.raises(ValueError, match="Carleman"):
-            carleman_sum(fam, 3)
 
 
 class TestKernelFlags:

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import (PhaseClass, StParams, assemble_truncation,
-                         block_entries, constant_st_family, decaying_root,
-                         jc_lower_bound, levinson_profile, mu_asymptotic,
-                         phase_class, st_family, transfer_eigenvalues,
-                         transfer_matrix, tridiag_kth_eigenvalue)
-from blockjacobi.st_family import _rho_q, transfer_char_coeffs
+                         block_entries, decaying_root, jc_lower_bound,
+                         levinson_profile, mu_asymptotic, phase_class,
+                         st_family, transfer_eigenvalues, tridiag_kth_eigenvalue)
+from blockjacobi.st_family import _rho_q
+from reference_kernels import constant_st_family, transfer_matrix
 
 P06 = StParams(2.0, 2.0, 0.6)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockjacobi import dense_linalg as dl
+from conftest import blocks_truncation
 from reference_kernels import mid_chain_problem, reference_factor, reference_hermitian_eig
 
 
@@ -383,17 +384,18 @@ def assert_like_reference_factor(fac, ref):
         assert same_bits(getattr(fac, name), ref[key]), name
 
 
-def assert_estimates_like_reference(blocks, shift):
+def assert_estimates_like_reference(tr, shift):
     """A checked factor's estimates are the reference's bit for bit: with
     the limit just below each reference estimate, the factor raises for the
     first pivot whose estimate exceeds it, carrying that estimate."""
-    cond = reference_conds(reference_factor(*blocks, shift, False), problem_scale(*blocks, shift))
+    B, A = tr.diag_blocks, tr.offdiag_blocks
+    cond = reference_conds(reference_factor(B, A, shift, False), problem_scale(B, A, shift))
     with pytest.MonkeyPatch.context() as mp:
         for c in cond:
             mp.setattr(dl, "COND_LIMIT", np.nextafter(c, 0.0))
             first = int(np.flatnonzero(cond > dl.COND_LIMIT)[0])
             with pytest.raises(dl.SingularShiftError) as err:
-                dl.block_tridiag_factor(blocks, shift)
+                dl.block_tridiag_factor(tr, shift)
             assert err.value.block_index == first + 1
             assert same_bits(err.value.cond, cond[first])
 
@@ -411,13 +413,14 @@ class TestConditionEstimates:
         B = rng.standard_normal((N, d, d)) + 1j * rng.standard_normal((N, d, d))
         B = B + B.conj().transpose(0, 2, 1)
         A = rng.standard_normal((N - 1, d, d)) + 1j * rng.standard_normal((N - 1, d, d))
+        tr = blocks_truncation(B, A)
         shift = -20.0 - 1.0j
         ref = reference_factor(B, A, shift, check)
         if check:
-            assert_estimates_like_reference((B, A), shift)
+            assert_estimates_like_reference(tr, shift)
         else:
             monkeypatch.setattr(dl, "spectral_norm", no_norms)
-        fac = dl.block_tridiag_factor((B, A), shift, check_conditioning=check)
+        fac = dl.block_tridiag_factor(tr, shift, check_conditioning=check)
         assert_like_reference_factor(fac, ref)
 
     def test_st_truncation_and_nudged_unchecked_factor(self, monkeypatch):
@@ -425,7 +428,7 @@ class TestConditionEstimates:
         tr = assemble_truncation(parse_family_spec("st:s=2,t=2,alpha=0.6"), 200)
         B, A = tr.diag_blocks, tr.offdiag_blocks
         for shift in (-1.0, -3.5):
-            assert_estimates_like_reference((B, A), shift)
+            assert_estimates_like_reference(tr, shift)
             assert_like_reference_factor(dl.block_tridiag_factor(tr, shift),
                                          reference_factor(B, A, shift))
         # an exactly singular first pivot is nudged when unchecked
@@ -433,7 +436,7 @@ class TestConditionEstimates:
         As = np.array([0.5 * np.eye(2)] * 3, dtype=complex)
         ref = reference_factor(Bs, As, 1.0, False)
         monkeypatch.setattr(dl, "spectral_norm", no_norms)
-        fac = dl.block_tridiag_factor((Bs, As), 1.0, check_conditioning=False)
+        fac = dl.block_tridiag_factor(blocks_truncation(Bs, As), 1.0, check_conditioning=False)
         assert fac.pivot_lu[0][0, 0] != 0.0
         assert_like_reference_factor(fac, ref)
 
@@ -445,7 +448,7 @@ class TestDeferredConditionCheck:
         cond = reference_conds(ref, problem_scale(B, A, 0.0))
         assert cond[:2].max() <= dl.COND_LIMIT < cond[2]
         with pytest.raises(dl.SingularShiftError) as err:
-            dl.block_tridiag_factor((B, A), 0.0)
+            dl.block_tridiag_factor(blocks_truncation(B, A), 0.0)
         assert err.value.block_index == 3
         assert str(err.value) == str(dl.SingularShiftError(3, float(cond[2])))
         assert str(err.value).startswith("singular shift: pivot block 3 has condition estimate")
@@ -458,13 +461,13 @@ class TestDeferredConditionCheck:
                      dtype=complex)
         A = np.zeros((4, 2, 2), dtype=complex)
         with pytest.raises(dl.SingularShiftError) as err:
-            dl.block_tridiag_factor((B, A), 0.0)
+            dl.block_tridiag_factor(blocks_truncation(B, A), 0.0)
         assert err.value.block_index == 2
         assert str(err.value) == ("singular shift: pivot block 2 has condition "
                                   "estimate 3.000e+14 (limit 1e+12)")
         B[1] = np.eye(2)  # without the earlier bad pivot, pivot 4 raises at once
         with pytest.raises(dl.SingularShiftError) as err:
-            dl.block_tridiag_factor((B, A), 0.0)
+            dl.block_tridiag_factor(blocks_truncation(B, A), 0.0)
         assert err.value.block_index == 4 and err.value.cond == np.inf
 
     def test_failing_factor_emits_no_warning(self):
@@ -476,7 +479,7 @@ class TestDeferredConditionCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(dl.SingularShiftError) as err:
-                dl.block_tridiag_factor((B, A), 0.0)
+                dl.block_tridiag_factor(blocks_truncation(B, A), 0.0)
         assert err.value.block_index == 2
         assert "condition estimate 1.000e+305" in str(err.value)
 
@@ -490,7 +493,7 @@ class TestDeferredConditionCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(dl.SingularShiftError) as err:
-                dl.block_tridiag_factor((B, A), 0.0)
+                dl.block_tridiag_factor(blocks_truncation(B, A), 0.0)
         assert err.value.block_index == 2
         assert "condition estimate 1.000e+305" in str(err.value)
 
@@ -502,6 +505,6 @@ class TestDeferredConditionCheck:
         A = np.array([np.zeros((2, 2))] + [1e5 * np.eye(2)] * 4, dtype=complex)
         with pytest.warns(RuntimeWarning):
             try:
-                dl.block_tridiag_factor((B, A), 0.0, check_conditioning=False)
+                dl.block_tridiag_factor(blocks_truncation(B, A), 0.0, check_conditioning=False)
             except dl.SingularShiftError:
                 pass
