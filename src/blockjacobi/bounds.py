@@ -141,13 +141,6 @@ class DecayEnvelope:
     gamma: float
     cumulative: np.ndarray
 
-    def log_bound(self, j: int, k: int) -> float:
-        lo, hi = sorted((j, k))
-        return -self.gamma * (self.cumulative[hi - 1] - self.cumulative[lo - 1])
-
-    def bound(self, j: int, k: int) -> float:
-        return math.exp(self.log_bound(j, k))
-
 
 def scalar_envelope(trunc: Truncation, p: BoundParams) -> DecayEnvelope:
     """Scalar-norm envelope over the truncation's couplings:

@@ -1,26 +1,26 @@
 """Command-line front end.
 
 Subcommands: bounds (rates and envelope tables), green (resolvent-column
-norms), eigs (eigenpairs below the edge, optionally after the rank-one
+norms), eigs (eigenpairs below the edge, optionally after the first-block
 perturbation), example (tables for the built-in 2x2 st family), verify
 (decay verification reports).  Each subcommand accepts exactly the flags
 it reads, listed in one table (`_COMMANDS`, over the flag table `_FLAGS`);
 a flag that another flag's value leaves unread (bounds --N without the
 envelope table, example --k outside levinson, example --lambda or --N
 with the phase or jc table, verify --mode eigenvector with both --lambda
-and --k) is an input error too.
+and --k, verify --format with --out) is an input error too.
 
 Exit status: 0 on success with all verdicts passing, 2 when a verification
 verdict fails, 1 on input errors (a flag the subcommand does not read, a
 missing required flag, unknown family, malformed file, parameter-domain
-violations).  Identical configurations produce
-bitwise-identical report files; floats are rendered with 17 significant
-digits.  A command that needs blocks reads the family once, into one
-truncation that everything after it reads; verify assembles it after
-checking its parameters.  Lambda grids are reported in input order; a
-green or verify grid shares one shift-batched block factor and solve (one
-lambda is the S = 1 case), a verify grid also one spectral query and
-commutation check.
+violations).  This module renders and writes every report: identical
+configurations produce bitwise-identical report files, and floats are
+rendered with 17 significant digits.  A command that needs blocks reads
+the family once, into one truncation that everything after it reads;
+verify assembles it after checking its parameters.  Lambda grids are
+reported in input order; a green or verify grid shares one shift-batched
+block factor and solve (one lambda is the S = 1 case), a verify grid also
+one spectral query and commutation check.
 """
 
 from __future__ import annotations
@@ -32,17 +32,19 @@ import sys
 import numpy as np
 
 from .bounds import BoundParams, gamma_rate, scalar_envelope, simplified_rate
-from .dense_linalg import SingularShiftError, vector_norm
-from .green_spectral import (CSV_HEADER, REPORT_COLUMNS, eigenpairs_below,
-                             green_column, perturbed_truncation,
+from .dense_linalg import SingularShiftError
+from .green_spectral import (eigenpairs_below, green_column, perturbed_truncation,
                              verify_commuting_decay, verify_eigenvector_decay,
-                             verify_green_decay, _fmt, _fmt_complex)
+                             verify_green_decay)
 from .operator_model import (assemble_truncation, offdiag_kernel_flags,
                              parse_family_spec)
 from .st_family import (StParams, jc_lower_bound, levinson_profile,
                         mu_asymptotic, phase_class, transfer_eigenvalues)
 
 __all__ = ["main", "CliError"]
+
+CSV_HEADER = "# blockjacobi-bounds v1"
+REPORT_COLUMNS = "index,measured,envelope,ratio,verdict"
 
 
 class CliError(Exception):
@@ -109,6 +111,77 @@ def _parse_calib(text):
         raise CliError(f"--calib must be integer lo:hi, got {text!r}")
 
 
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _fmt_complex(z: complex) -> str:
+    z = complex(z)
+    if z.imag == 0:
+        return _fmt(z.real)
+    return f"{_fmt(z.real)}{z.imag:+.17g}j"
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _report_rows(rep) -> list[str]:
+    """One REPORT_COLUMNS row per index of a DecayReport."""
+    return [f"{rep.indices[i]},{_fmt(rep.measured[i])},"
+            f"{_fmt(rep.envelope[i])},{_fmt(rep.ratio[i])},{rep.verdicts[i]}"
+            for i in range(rep.indices.size)]
+
+
+def _report_summary(rep) -> dict:
+    out = {
+        "schema": "blockjacobi-bounds v1",
+        "mode": rep.mode,
+        "family": rep.family_label,
+        "lambda": [rep.lam.real, rep.lam.imag],
+        "b": rep.b,
+        "delta": rep.delta,
+        "eps": rep.eps,
+        "gamma": rep.gamma,
+        "N": rep.nblocks,
+        "source": rep.source,
+        "calibration": [rep.calibration[0], rep.calibration[1]],
+        "eligible_limit": rep.eligible_limit,
+        "fitted_C": rep.fitted_C,
+        "pass_fraction": rep.pass_fraction,
+        "all_pass": rep.all_pass,
+        "n_eligible": int(rep.eligible.sum()),
+    }
+    out.update(rep.meta)
+    return out
+
+
+def _verify_texts(reports) -> tuple[str, str]:
+    """(CSV, JSON) text of a verify run: one report's own table and summary
+    object, or for a lambda grid one merged table with a leading lambda
+    column and a list of the summaries, in input order."""
+    if len(reports) == 1:
+        r = reports[0]
+        lines = [CSV_HEADER,
+                 f"# mode={r.mode} family={r.family_label} "
+                 f"lambda={_fmt_complex(r.lam)} b={_fmt(r.b)} "
+                 f"delta={_fmt(r.delta)} eps={_fmt(r.eps)} "
+                 f"N={r.nblocks} source={r.source} gamma={_fmt(r.gamma)} "
+                 f"fitted_C={_fmt(r.fitted_C)} "
+                 f"calibration={r.calibration[0]}:{r.calibration[1]}",
+                 REPORT_COLUMNS, *_report_rows(r)]
+        return "\n".join(lines) + "\n", _json_text(_report_summary(r))
+    first = reports[0]
+    lines = [CSV_HEADER,
+             f"# command=verify mode={first.mode} family={first.family_label} "
+             f"N={first.nblocks} merged={len(reports)}",
+             "lambda," + REPORT_COLUMNS]
+    for r in reports:
+        lam = _fmt_complex(r.lam)
+        lines.extend(f"{lam},{row}" for row in _report_rows(r))
+    return "\n".join(lines) + "\n", _json_text([_report_summary(r) for r in reports])
+
+
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -143,8 +216,9 @@ def _edge(args, fam) -> float:
 # ---------------------------------------------------------------------------
 
 def _cmd_bounds(args) -> int:
+    fmt = args.format or "csv"
     # --N sizes the envelope table, which only a CSV --out receives
-    if args.N is not None and not (args.family and args.out and args.format == "csv"):
+    if args.N is not None and not (args.family and args.out and fmt == "csv"):
         raise CliError("--N sets the envelope table, which needs --family "
                        "and a CSV --out")
     lams = _parse_lambda(getattr(args, "lambda"))
@@ -154,14 +228,14 @@ def _cmd_bounds(args) -> int:
     for lam in lams:
         p = BoundParams(lam=lam, b=b, delta=args.delta, eps=args.eps)
         rows.append((lam, gamma_rate(p), simplified_rate(p), p))
-    if args.out or args.format == "csv":  # else stdout carries the JSON alone
+    if args.out or fmt == "csv":  # else stdout carries the JSON alone
         for lam, gam, simp, _ in rows:
             print(f"lambda={_fmt_complex(lam)} gamma={_fmt(gam)} "
                   f"simplified_rate={_fmt(simp)}")
-    if args.format == "json":
+    if fmt == "json":
         payload = [{"lambda": [r[0].real, r[0].imag], "gamma": r[1],
                     "simplified_rate": r[2]} for r in rows]
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     elif args.out:
         lines = [CSV_HEADER,
                  f"# command=bounds b={_fmt(b)} delta={_fmt(args.delta)} "
@@ -201,7 +275,7 @@ def _cmd_green(args) -> int:
         payload = [{"lambda": [lam.real, lam.imag], "k": k,
                     "norms": [float(v) for v in norms]}
                    for lam, norms in zip(lams, results)]
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -219,8 +293,7 @@ def _cmd_eigs(args) -> int:
 
     def rows(kind, prs):
         for i, pr in enumerate(prs, start=1):
-            tail = vector_norm(pr.vector[-trunc.dim:])
-            lines.append(f"{kind},{i},{_fmt(pr.value)},{_fmt(tail)},"
+            lines.append(f"{kind},{i},{_fmt(pr.value)},{_fmt(pr.last_block_norm)},"
                          f"{'true' if pr.boundary_suspect else 'false'}")
 
     rows("base", pairs)
@@ -234,7 +307,7 @@ def _cmd_eigs(args) -> int:
                                   for pr in ppairs)
     if args.format == "json":
         payload["offdiag_kernel_trivial"] = bool(all(offdiag_kernel_flags(trunc)))
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -303,6 +376,9 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.out and args.format is not None:
+        raise CliError("--format is not read with --out: verify --out PREFIX "
+                       "writes both PREFIX.csv and PREFIX.json")
     fam = _family(args)
     if args.N < 20:
         raise CliError("verification needs --N >= 20 "
@@ -335,21 +411,7 @@ def _cmd_verify(args) -> int:
         reports = runner(assemble_truncation(fam, args.N), grid,
                          k=args.k if args.k is not None else 1, calibration=calib)
 
-    if len(reports) > 1:
-        body_lines = [CSV_HEADER,
-                      f"# command=verify mode={mode} family={fam.label} "
-                      f"N={args.N} merged={len(reports)}",
-                      "lambda," + REPORT_COLUMNS]
-        for rep in reports:
-            lam = _fmt_complex(rep.lam)
-            body_lines.extend(f"{lam},{row}" for row in rep.csv_rows())
-        csv_text = "\n".join(body_lines) + "\n"
-        json_text = json.dumps([r.summary() for r in reports],
-                               sort_keys=True, indent=2) + "\n"
-    else:
-        csv_text = reports[0].csv_text()
-        json_text = reports[0].json_text()
-
+    csv_text, json_text = _verify_texts(reports)
     if args.out:
         _emit(csv_text, args.out + ".csv")
         _emit(json_text, args.out + ".json")
@@ -375,8 +437,11 @@ _FLAGS = {
     "k": dict(type=int, help="source block index (default 1)"),
     "tau": dict(type=float, help="first-block perturbation size"),
     "calib": dict(help="calibration range lo:hi"),
-    "out": dict(help="output path (verify: path prefix)"),
-    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(help="output path (verify: prefix of PREFIX.csv and PREFIX.json)"),
+    # no argparse default, so verify can tell an explicit --format from an
+    # unset one; every command reads an unset --format as csv
+    "format": dict(choices=("csv", "json"), help="csv (default) or json; "
+                                                 "verify --out writes both"),
     "mode": dict(choices=("green", "eigenvector", "commuting"), default="green"),
     "table": dict(choices=("phase", "jc", "roots", "asymptotic", "levinson"),
                   default="phase"),

@@ -11,7 +11,7 @@ Spectral queries count eigenvalues below a whole vector of shifts in one
 block LDL* sweep, which stops once the rest of the matrix cannot add a
 negative pivot.  Each multisection sweep spreads 128 shifts over the open
 eigenvalue brackets as levels of halving (127 shifts, 7 levels for a lone
-bracket), so one eigenvalue at the default tolerance takes about 7 sweeps
+bracket), so one eigenvalue at its tolerance takes about 7 sweeps
 where bisection took about 44, and comes out as the bisection midpoint bit
 for bit.  The cyclic Jacobi runs on whole stacks (S, n, n) for every n,
 one matrix being the S = 1 case, so each member is bitwise what it gives
@@ -753,9 +753,9 @@ def _halvings(brackets, depth: int) -> np.ndarray:
     return edges
 
 
-def _multisection(trunc, ks, tol, edge=None):
+def _multisection(trunc, ks, edge=None):
     """Eigenvalues k in ks (1-based) as midpoints of brackets no wider than
-    tol (default 1e-13 * max(1, |lo|, |hi|) over the Gershgorin bracket).
+    tol = 1e-13 * max(1, |lo|, |hi|) over the Gershgorin bracket [lo, hi].
 
     Every index starts on the widened Gershgorin bracket; indices sharing an
     open bracket share its shifts.  Each sweep cuts every open bracket by as
@@ -768,17 +768,13 @@ def _multisection(trunc, ks, tol, edge=None):
     b: the indices are c + k for k in ks, kept within 1..n = N d.  The first
     sweep's shifts do not depend on the indices, so b rides in its last
     slot (a shift counts the same alone or in any batch) and its count
-    fixes them.  Returns (c, eigenvalues), c None without an edge.  A tol
-    that is not finite and > 0 raises ValueError (bisection to it would
-    never end).  Every count gets the _Section computed here: its
-    Gershgorin data, for the stop test, and the kernel's inputs.
+    fixes them.  Returns (c, eigenvalues), c None without an edge.  Every
+    count gets the _Section computed here: its Gershgorin data, for the stop
+    test, and the kernel's inputs.
     """
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     section = _gershgorin(trunc)
     lo, hi = _gershgorin_bounds(section)
-    if tol is None:
-        tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+    tol = 1e-13 * max(1.0, abs(lo), abs(hi))
     n = trunc.dense_dim
     start = (lo - tol, hi + tol)
     brackets = [start] * (len(ks) if edge is None else 1)
@@ -812,51 +808,40 @@ def _multisection(trunc, ks, tol, edge=None):
             brackets[i] = (e[a], e[b])
 
 
-def tridiag_kth_eigenvalue(trunc, k: int, tol: float | None = None) -> float:
-    """k-th smallest eigenvalue (1-based) by inertia multisection; a tol
-    that is not finite and > 0 raises ValueError."""
+def tridiag_kth_eigenvalue(trunc, k: int) -> float:
+    """k-th smallest eigenvalue (1-based) by inertia multisection."""
     n = trunc.dense_dim
     if not 1 <= k <= n:
         raise ValueError(f"eigenvalue index {k} out of range 1..{n}")
-    return float(_multisection(trunc, [k], tol)[1][0])
+    return float(_multisection(trunc, [k])[1][0])
 
 
-def tridiag_eigs_below(trunc, b: float, tol: float | None = None,
+def tridiag_eigs_below(trunc, b: float,
                        above: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(below, next): all eigenvalues of T strictly below b, ascending, and
     the next `above` eigenvalues (fewer where T has fewer; empty for
     above = 0), from one multisection whose first sweep also counts b.
-
-    A non-finite b, or a tol that is not finite and > 0, raises ValueError.
+    A non-finite b raises ValueError.
     """
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
     n = trunc.dense_dim
     # offsets 1 - n .. above from the count below b: indices 1..count + above
-    count, vals = _multisection(trunc, range(1 - n, above + 1), tol, edge=b)
+    count, vals = _multisection(trunc, range(1 - n, above + 1), edge=b)
     return vals[:count], vals[count:]
 
 
-def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU,
-                              start=None, n_iter: int = 6,
-                              ortho=()) -> tuple[np.ndarray, float]:
+def tridiag_inverse_iteration(trunc, factor: BlockTridiagLU, start,
+                              n_iter: int = 6, ortho=()) -> tuple[np.ndarray, float]:
     """Unit eigenvector for the eigenvalue nearest the shift of `factor`,
-    plus its Rayleigh value.
+    plus its Rayleigh value, after n_iter solves from `start`.
 
     `factor` is the one-shift factor of T - shift*I, with the shift nudged
     off the eigenvalue estimate; iterations for equal shifts can share it.
-    Starting from a vector supported on the first block keeps the
-    exponentially small tail componentwise accurate (the back substitution
-    propagates relative, not absolute, precision).  Vectors in `ortho` are
-    projected out each step, which resolves members of a degenerate
-    cluster one at a time.
+    Vectors in `ortho` are projected out each step, which resolves members
+    of a degenerate cluster one at a time.
     """
-    N, d = trunc.nblocks, trunc.dim
-    if start is None:
-        x = np.zeros(N * d, dtype=np.complex128)
-        x[:d] = 1.0 / np.sqrt(d)
-    else:
-        x = np.asarray(start, dtype=np.complex128).copy()
+    x = np.asarray(start, dtype=np.complex128)
     for _ in range(n_iter):
         x = factor.solve(x)
         for o in ortho:

@@ -17,7 +17,6 @@ evaluated directly so it never over- or underflows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .bounds import (BoundParams, check_pairwise_commutation, gamma_rate,
                      qualified_constant, scalar_envelope, _phi_partial_sums)
 from .dense_linalg import (block_tridiag_factor, psd_matfunc, spectral_norm,
                            tridiag_apply, tridiag_eigs_below,
-                           tridiag_inverse_iteration, vector_norm, _sigma_min)
+                           tridiag_inverse_iteration, vector_norm)
 from .operator_model import Truncation, offdiag_kernel_flags, _require_hermitian
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "verify_commuting_decay",
 ]
 
-CSV_HEADER = "# blockjacobi-bounds v1"
-REPORT_COLUMNS = "index,measured,envelope,ratio,verdict"
 BOUNDARY_SUSPECT_TOL = 1e-6
 VERDICT_SLACK = 1e-9
 # projection cutoff M of the closed-form constant qualified_C
@@ -102,31 +99,37 @@ def green_column(trunc: Truncation, lam, k: int) -> GreenBlockSet | list[GreenBl
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """Unit eigenvector of the truncation; boundary_suspect marks a last
-    block norm above 1e-6 (truncation artifact, not a half-line state)."""
+    """Unit eigenvector of the truncation and the norm of its last block;
+    boundary_suspect marks a last block norm above 1e-6 (truncation
+    artifact, not a half-line state)."""
 
     value: float
     vector: np.ndarray
-    boundary_suspect: bool
+    last_block_norm: float
+
+    @property
+    def boundary_suspect(self) -> bool:
+        return bool(self.last_block_norm > BOUNDARY_SUSPECT_TOL)
 
     def block_norms(self, dim: int) -> np.ndarray:
         return vector_norm(self.vector.reshape(-1, dim))
 
 
-def eigenpairs_below(trunc: Truncation, b: float,
-                     tol: float | None = None) -> list[Eigenpair]:
+def eigenpairs_below(trunc: Truncation, b: float) -> list[Eigenpair]:
     """All truncation eigenpairs with eigenvalue < b, ascending.
 
     Eigenvalues come from inertia multisection; vectors from inverse iteration
-    against the block LU, which keeps exponentially small tails accurate in
-    the componentwise-relative sense; consecutive eigenvalues with equal
-    shifts (a degenerate cluster) share one factor.  Members of a
-    near-degenerate cluster are orthogonalized against each other.  A vector
-    whose residual or Rayleigh value misses its eigenvalue is redone from a
-    random start.  May be empty.
+    against the block LU; consecutive eigenvalues with equal shifts (a
+    degenerate cluster) share one factor.  The first d members of a cluster
+    start on one coordinate of the first block, which keeps an exponentially
+    small tail componentwise accurate: the back substitution propagates
+    relative, not absolute, precision.  Members of a near-degenerate cluster
+    are orthogonalized against each other, and those beyond d start from a
+    seeded random vector.  A vector whose residual or Rayleigh value misses
+    its eigenvalue is redone from a random start.  May be empty.
     """
     N, d = trunc.nblocks, trunc.dim
-    vals, _ = tridiag_eigs_below(trunc, b, tol)
+    vals, _ = tridiag_eigs_below(trunc, b)
     tscale = trunc.scale()
     scale = max(tscale, abs(b), 1.0)
     cluster_tol = 1e-8 * scale
@@ -151,19 +154,18 @@ def eigenpairs_below(trunc: Truncation, b: float,
         shift = lam + 1e-11 * max(tscale, abs(lam))
         if shift != prev_shift:
             lu, prev_shift = block_tridiag_factor(trunc, shift, check_conditioning=False), shift
-        x, rq = tridiag_inverse_iteration(trunc, lu, start=start, ortho=tuple(cluster))
+        x, rq = tridiag_inverse_iteration(trunc, lu, start, ortho=tuple(cluster))
         if miss(x, rq, lam) > 1e-8 * scale:
             rng = np.random.default_rng(77003 + i)
             x, rq = tridiag_inverse_iteration(
-                trunc, lu, start=rng.standard_normal(N * d).astype(np.complex128),
+                trunc, lu, rng.standard_normal(N * d).astype(np.complex128),
                 n_iter=12, ortho=tuple(cluster))
             if (m := miss(x, rq, lam)) > 1e-8 * scale:
                 raise ArithmeticError(f"inverse iteration residual or Rayleigh "
                                       f"offset {m:.3e} for eigenvalue {lam}")
         cluster.append(x)
         prev_val = lam
-        tail = vector_norm(x[(N - 1) * d:])
-        pairs.append(Eigenpair(rq, x, bool(tail > BOUNDARY_SUSPECT_TOL)))
+        pairs.append(Eigenpair(rq, x, vector_norm(x[(N - 1) * d:])))
     return pairs
 
 
@@ -171,30 +173,14 @@ def eigenpairs_below(trunc: Truncation, b: float,
 # Rank-d perturbation on the first block
 # ---------------------------------------------------------------------------
 
-def perturbed_truncation(trunc: Truncation, tau: float,
-                         L: np.ndarray | None = None) -> Truncation:
-    """Truncation of J + tau * P_1 L* L P_1 at the same size: trunc's arrays
-    with only B_1 replaced, by B_1 + tau L*L.
-
-    L must be norm-one with trivial kernel (checked); the identity default
-    satisfies both in finite dimension.  The new B_1 must be finite and
-    Hermitian (checked).
-    """
-    d = trunc.dim
+def perturbed_truncation(trunc: Truncation, tau: float) -> Truncation:
+    """Truncation of J + tau * P_1 at the same size: trunc's arrays with
+    only B_1 replaced, by B_1 + tau I.  tau must be finite and >= 0, and
+    the new B_1 finite and Hermitian (both checked)."""
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    if L is None:
-        L = np.eye(d, dtype=np.complex128)
-    L = np.asarray(L, dtype=np.complex128)
-    if L.shape != (d, d):
-        raise ValueError(f"L has shape {L.shape}, expected ({d}, {d})")
-    nrm = spectral_norm(L)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"||L|| = {nrm!r}, must equal 1 to 1e-10")
-    if _sigma_min(L) <= 1e-12:
-        raise ValueError("L has (numerically) nontrivial kernel")
     diags = trunc.diag_blocks.copy()
-    diags[0] += tau * (L.conj().T @ L)
+    diags[0] += tau * np.eye(trunc.dim)
     _require_hermitian(diags[0], "diag(1)")
     diags.setflags(write=False)
     return Truncation(trunc.label + f"+perturbed(tau={tau})", diags,
@@ -204,17 +190,6 @@ def perturbed_truncation(trunc: Truncation, tau: float,
 # ---------------------------------------------------------------------------
 # Decay reports
 # ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0:
-        return _fmt(z.real)
-    return f"{_fmt(z.real)}{z.imag:+.17g}j"
-
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -258,58 +233,6 @@ class DecayReport:
     def pass_fraction(self) -> float:
         n_elig = int(self.eligible.sum())
         return self.verdicts.count("pass") / n_elig if n_elig else 1.0
-
-    def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        lines.append(
-            f"# mode={self.mode} family={self.family_label} "
-            f"lambda={_fmt_complex(self.lam)} b={_fmt(self.b)} "
-            f"delta={_fmt(self.delta)} eps={_fmt(self.eps)} "
-            f"N={self.nblocks} source={self.source} gamma={_fmt(self.gamma)} "
-            f"fitted_C={_fmt(self.fitted_C)} "
-            f"calibration={self.calibration[0]}:{self.calibration[1]}")
-        lines.append(REPORT_COLUMNS)
-        lines.extend(self.csv_rows())
-        return "\n".join(lines) + "\n"
-
-    def csv_rows(self) -> list[str]:
-        """One REPORT_COLUMNS row per index."""
-        return [f"{self.indices[i]},{_fmt(self.measured[i])},"
-                f"{_fmt(self.envelope[i])},{_fmt(self.ratio[i])},{self.verdicts[i]}"
-                for i in range(self.indices.size)]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.csv_text())
-
-    def summary(self) -> dict:
-        out = {
-            "schema": "blockjacobi-bounds v1",
-            "mode": self.mode,
-            "family": self.family_label,
-            "lambda": [self.lam.real, self.lam.imag],
-            "b": self.b,
-            "delta": self.delta,
-            "eps": self.eps,
-            "gamma": self.gamma,
-            "N": self.nblocks,
-            "source": self.source,
-            "calibration": [self.calibration[0], self.calibration[1]],
-            "eligible_limit": self.eligible_limit,
-            "fitted_C": self.fitted_C,
-            "pass_fraction": self.pass_fraction,
-            "all_pass": self.all_pass,
-            "n_eligible": int(self.eligible.sum()),
-        }
-        out.update(self.meta)
-        return out
-
-    def json_text(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=2) + "\n"
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.json_text())
 
 
 def _normalize_calibration(calibration, default_lo: int, N: int, limit: int):

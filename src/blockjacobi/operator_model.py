@@ -112,18 +112,6 @@ class Truncation:
     def dense_dim(self) -> int:
         return self.nblocks * self.dim
 
-    def dense(self) -> np.ndarray:
-        """Assembled (N*d, N*d) Hermitian matrix."""
-        N, d = self.nblocks, self.dim
-        T = np.zeros((N * d, N * d), dtype=np.complex128)
-        for k in range(N):
-            T[k * d:(k + 1) * d, k * d:(k + 1) * d] = self.diag_blocks[k]
-            if k < N - 1:
-                T[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = self.offdiag_blocks[k]
-                T[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = \
-                    self.offdiag_blocks[k].conj().T
-        return T
-
     def scale(self) -> float:
         """Magnitude scale used for relative tolerances."""
         return block_scale(self.diag_blocks, self.offdiag_blocks)
@@ -168,8 +156,7 @@ def scalar_free_family() -> OperatorFamily:
 
 
 def diagonal_family(adiag, bdiag, aexp: float = 0.0, bexp: float = 0.0,
-                    edge_b: float | None = None,
-                    label: str | None = None) -> OperatorFamily:
+                    edge_b: float | None = None) -> OperatorFamily:
     """A_n = diag(adiag) * n^aexp, B_n = diag(bdiag) * n^bexp.
 
     All blocks are diagonal, so the family commutes pairwise and decouples
@@ -179,8 +166,7 @@ def diagonal_family(adiag, bdiag, aexp: float = 0.0, bexp: float = 0.0,
     b = np.asarray(bdiag, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("adiag and bdiag must be 1-d and of equal length")
-    if label is None:
-        label = f"diagonal-test(adiag={list(a)},bdiag={list(b)},aexp={aexp},bexp={bexp})"
+    label = f"diagonal-test(adiag={list(a)},bdiag={list(b)},aexp={aexp},bexp={bexp})"
 
     def offdiag(n: int) -> np.ndarray:
         return np.diag(a * float(n) ** aexp).astype(np.complex128)
@@ -221,24 +207,16 @@ def _table_edge(v) -> float:
     return float(v)
 
 
-def table_family(source) -> OperatorFamily:
-    """Family from an explicit JSON table.
+def table_family(path) -> OperatorFamily:
+    """Family from the JSON table file at `path`.
 
     Schema: {"dim": d, "blocks": [{"n": k, "A": [...], "B": [...]}, ...],
     "edge_b": optional}.  A and B are row-major length-d^2 lists whose
     entries are real numbers or [re, im] pairs.  Querying an index that is
     not in the table is an error.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        label = f"table:{source}" if isinstance(source, str) else "table"
-    else:
-        data = source
-        label = "table"
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"malformed family table: the document is a "
                          f"{type(data).__name__}, expected an object")
@@ -286,7 +264,7 @@ def table_family(source) -> OperatorFamily:
     edge = data.get("edge_b")
     return OperatorFamily(d, offdiag, diag,
                           edge_b=None if edge is None else _table_edge(edge),
-                          label=label)
+                          label=f"table:{path}")
 
 
 def _pop_scalar(params: dict, key: str, *default):

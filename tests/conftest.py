@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,15 @@ def random_family(seed: int, d: int, complex_entries: bool = False) -> OperatorF
         return ((M + M.conj().T) / 2).astype(np.complex128)
 
     return OperatorFamily(d, offdiag, diag, label=f"random(seed={seed},d={d})")
+
+
+def table_path(tmp_path, doc) -> str:
+    """Path of a family table file holding the JSON document doc, written
+    under tmp_path (json writes inf and nan as Infinity and NaN, which
+    table_family reads back)."""
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def blocks_truncation(diag_blocks, offdiag_blocks) -> Truncation:

@@ -1,4 +1,5 @@
-"""Per-matrix reference kernels that the stacked library kernels replay.
+"""Per-matrix reference kernels that the stacked library kernels replay,
+and the dense assembled matrix of a truncation, for the LAPACK oracles.
 
 The per-matrix cyclic Jacobi eigensolver, the per-block LU with partial
 pivoting, the per-shift block elimination and solve built on it, and the
@@ -19,6 +20,19 @@ import numpy as np
 
 from blockjacobi import OperatorFamily, StParams
 from blockjacobi import dense_linalg as dl
+
+
+def dense(trunc) -> np.ndarray:
+    """The truncation as one (N*d, N*d) Hermitian matrix."""
+    N, d = trunc.nblocks, trunc.dim
+    T = np.zeros((N * d, N * d), dtype=np.complex128)
+    for k in range(N):
+        T[k * d:(k + 1) * d, k * d:(k + 1) * d] = trunc.diag_blocks[k]
+        if k < N - 1:
+            T[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = trunc.offdiag_blocks[k]
+            T[(k + 1) * d:(k + 2) * d, k * d:(k + 1) * d] = \
+                trunc.offdiag_blocks[k].conj().T
+    return T
 
 
 def reference_hermitian_eig(H) -> dl.EigDecomposition:
@@ -216,22 +230,22 @@ def mid_chain_problem():
     return B, A
 
 
-def reference_eigs_below(trunc, b, tol=None):
+def reference_eigs_below(trunc, b):
     """Eigenvalues below b as a one-shift count followed by a multisection
     for indices 1..count (none when the count is 0)."""
     count = dl.tridiag_count_below(trunc, b)
     if count == 0:
         return np.zeros(0)
-    return dl._multisection(trunc, list(range(1, count + 1)), tol)[1]
+    return dl._multisection(trunc, list(range(1, count + 1)))[1]
 
 
-def reference_eigenpairs_below(trunc, b, tol=None):
+def reference_eigenpairs_below(trunc, b):
     """eigenpairs_below one eigenvalue at a time: each inverse iteration, and
     each restart, factors its own shift.  A pair is redone from a random
     start when its residual or its Rayleigh value's distance from the
     eigenvalue exceeds 1e-8 * scale."""
     N, d = trunc.nblocks, trunc.dim
-    vals = reference_eigs_below(trunc, b, tol)
+    vals = reference_eigs_below(trunc, b)
     scale = max(trunc.scale(), abs(b), 1.0)
     pairs, cluster, prev = [], [], None
     for i, lam in enumerate(vals):
@@ -244,12 +258,12 @@ def reference_eigenpairs_below(trunc, b, tol=None):
             start[:] = np.random.default_rng(31337 + i).standard_normal(N * d)
         shift = lam + 1e-11 * max(trunc.scale(), abs(lam))
         lu = dl.block_tridiag_factor(trunc, shift, check_conditioning=False)
-        x, rq = dl.tridiag_inverse_iteration(trunc, lu, start=start, ortho=tuple(cluster))
+        x, rq = dl.tridiag_inverse_iteration(trunc, lu, start, ortho=tuple(cluster))
         resid = dl.vector_norm(dl.tridiag_apply(trunc, x) - rq * x)
         if max(resid, abs(rq - lam)) > 1e-8 * scale:
             start = np.random.default_rng(77003 + i).standard_normal(N * d)
             lu = dl.block_tridiag_factor(trunc, shift, check_conditioning=False)
-            x, rq = dl.tridiag_inverse_iteration(trunc, lu, start=start.astype(np.complex128),
+            x, rq = dl.tridiag_inverse_iteration(trunc, lu, start.astype(np.complex128),
                                                  n_iter=12, ortho=tuple(cluster))
             resid = dl.vector_norm(dl.tridiag_apply(trunc, x) - rq * x)
             if max(resid, abs(rq - lam)) > 1e-8 * scale:

@@ -22,7 +22,7 @@ from blockjacobi import (BoundParams, StParams, assemble_truncation,
 from blockjacobi.st_family import PhaseClass
 
 from conftest import commuting_weights, random_family, shift_first_block
-from reference_kernels import constant_st_family, transfer_matrix
+from reference_kernels import constant_st_family, dense, transfer_matrix
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -79,7 +79,7 @@ def test_c02_linear_algebra_oracles():
         lam = complex(-6 + rng.standard_normal(), -1 + 0.3 * rng.standard_normal())
         rhs = rng.standard_normal((N * d, 2)) + 1j * rng.standard_normal((N * d, 2))
         X = bj.block_tridiag_factor(tr, lam).solve(rhs)
-        Xd = np.linalg.solve(tr.dense() - lam * np.eye(N * d), rhs)
+        Xd = np.linalg.solve(dense(tr) - lam * np.eye(N * d), rhs)
         worst_solve = max(worst_solve, float(np.abs(X - Xd).max() / np.abs(Xd).max()))
     worst_eig = 0.0
     for _ in range(20):

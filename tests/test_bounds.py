@@ -11,7 +11,8 @@ from blockjacobi import (BoundParams, CommutationError, OperatorFamily, StParams
                          diagonal_family, gamma_rate, parse_family_spec,
                          phi_delta, psi, psi_inv, qualified_constant,
                          scalar_envelope, scalar_free_family, simplified_rate,
-                         spectral_norm, st_family, verify_commuting_decay)
+                         spectral_norm, st_family, verify_commuting_decay,
+                         verify_green_decay)
 from blockjacobi import bounds
 from conftest import commuting_weights
 
@@ -148,9 +149,10 @@ class TestScalarEnvelope:
         assert env.cumulative[3] == pytest.approx(2.5314754896811, abs=1e-10)
 
     def test_same_index_bound_is_one(self):
-        env = scalar_envelope(assemble_truncation(scalar_free_family(), 5),
-                              BoundParams(lam=-3.0, b=-2.0))
-        assert env.bound(3, 3) == 1.0
+        # the Green envelope exp(-gamma |S_j - S_k|) at j = k
+        rep = verify_green_decay(assemble_truncation(scalar_free_family(), 20),
+                                 BoundParams(lam=-3.0, b=-2.0), k=3)
+        assert rep.envelope[2] == 1.0
 
     def test_increments_capped_by_delta(self):
         fam = diagonal_family([0.01], [0.0])  # tiny coupling: phi = 1/sqrt(delta)

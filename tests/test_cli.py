@@ -625,6 +625,12 @@ class TestFlagTable:
         "example-N-with-jc": (
             "example --family=st:s=3,t=3 --table=jc --N=5",
             "--table=jc reads neither --lambda nor --N"),
+        "verify-format-json-with-out": (
+            "verify --family=st:s=2,t=2 --N=20 --lambda=-1 --b=0 --out=report "
+            "--format=json", "--format is not read with --out"),
+        "verify-format-csv-with-out": (
+            "verify --family=st:s=2,t=2 --N=20 --lambda=-1 --b=0 --out=report "
+            "--format=csv", "--format is not read with --out"),
     }
 
     @pytest.mark.parametrize("argv,message", unread_by_value.values(),

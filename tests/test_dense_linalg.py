@@ -415,7 +415,9 @@ class TestInverseIteration:
         lam = dl.tridiag_kth_eigenvalue(tr, 1)
         lu = dl.block_tridiag_factor(tr, lam + 1e-11 * max(1.0, abs(lam)),
                                      check_conditioning=False)
-        x, rq = dl.tridiag_inverse_iteration(tr, lu)
+        start = np.zeros(tr.dense_dim, dtype=np.complex128)
+        start[0] = 1.0
+        x, rq = dl.tridiag_inverse_iteration(tr, lu, start)
         assert rq == pytest.approx(w[0], abs=1e-10)
         assert abs(np.vdot(V[:, 0], x)) == pytest.approx(1.0, abs=1e-9)
 

@@ -16,6 +16,7 @@ from blockjacobi import (BoundParams, EmptySpectrumError, OperatorFamily,
 from blockjacobi import cli, dense_linalg, green_spectral
 
 from conftest import random_family, shift_first_block
+from reference_kernels import dense
 
 GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # decaying continued-fraction branch
 
@@ -30,16 +31,9 @@ def shift_all_diagonals(family: OperatorFamily, c: float) -> OperatorFamily:
     return OperatorFamily(d, family.offdiag, diag, label=family.label + f"+{c}I")
 
 
-def bump_first_block(family: OperatorFamily, tau: float, L: np.ndarray) -> OperatorFamily:
-    """Rules of J + tau * P_1 L*L P_1: the rule for B_1 adds tau L*L."""
-    bump = tau * (L.conj().T @ L)
-    base = family.diag
-
-    def diag(n: int) -> np.ndarray:
-        B = np.array(base(n), dtype=np.complex128)
-        return B + bump if n == 1 else B
-
-    return dataclasses.replace(family, diag=diag,
+def bump_first_block(family: OperatorFamily, tau: float) -> OperatorFamily:
+    """Rules of J + tau * P_1: the rule for B_1 adds tau I."""
+    return dataclasses.replace(shift_first_block(family, tau),
                                label=family.label + f"+perturbed(tau={tau})")
 
 
@@ -73,7 +67,7 @@ class TestGreenColumn:
         lam = -4.0 - 1.0j
         col = green_column(tr, lam, 5)
         stacked = np.vstack(col.blocks)
-        T = tr.dense()
+        T = dense(tr)
         resid = (T - lam * np.eye(60)) @ stacked
         resid[8:10, :] -= np.eye(2)
         assert np.abs(resid).max() < 1e-9
@@ -132,7 +126,7 @@ class TestGreenColumn:
 
     def test_shift_at_eigenvalue_rejected(self):
         tr = assemble_truncation(scalar_free_family(), 30)
-        lam = float(np.linalg.eigvalsh(tr.dense().real)[2])  # machine-accurate
+        lam = float(np.linalg.eigvalsh(dense(tr).real)[2])  # machine-accurate
         with pytest.raises(SingularShiftError) as err:
             green_column(tr, lam, 1)
         assert 1 <= err.value.block_index <= 30
@@ -169,13 +163,13 @@ class TestEigenpairsBelow:
     def test_matches_dense_eigensolver(self):
         fam = random_family(91, 2)
         tr = assemble_truncation(fam, 25)
-        w = np.linalg.eigvalsh(tr.dense())
+        w = np.linalg.eigvalsh(dense(tr))
         pairs = eigenpairs_below(tr, -1.0)
         want = w[w < -1.0]
         assert len(pairs) == want.size
         for pr, wv in zip(pairs, want):
             assert pr.value == pytest.approx(wv, abs=1e-9)
-            resid = tr.dense() @ pr.vector - pr.value * pr.vector
+            resid = dense(tr) @ pr.vector - pr.value * pr.vector
             assert np.linalg.norm(resid) < 1e-8
 
     def test_boundary_suspect_flag(self, st_critical):
@@ -205,12 +199,9 @@ class TestPerturbedTruncation:
         # it; the rest is the base truncation's, bit for bit
         fam = random_family(11, 2, complex_entries=True)
         tr = assemble_truncation(fam, N)
-        identity = np.eye(2, dtype=np.complex128)
-        unitary = np.array([[0.0, 1j], [1.0, 0.0]])
-        for tau, L in ((0.0, None), (0.3, None), (0.05, unitary)):
-            pert = perturbed_truncation(tr, tau, L)
-            want = assemble_truncation(
-                bump_first_block(fam, tau, identity if L is None else L), N)
+        for tau in (0.0, 0.3):
+            pert = perturbed_truncation(tr, tau)
+            want = assemble_truncation(bump_first_block(fam, tau), N)
             assert pert.label == want.label
             assert pert.nblocks == want.nblocks == N
             for got, ref in ((pert.diag_blocks, want.diag_blocks),
@@ -220,23 +211,6 @@ class TestPerturbedTruncation:
                 assert not got.flags.writeable
         assert not tr.diag_blocks.flags.writeable
 
-    def test_norm_one_enforced(self, st_deep):
-        tr = assemble_truncation(st_deep, 10)
-        with pytest.raises(ValueError, match="must equal 1"):
-            perturbed_truncation(tr, 0.1, 2.0 * np.eye(2))
-
-    def test_trivial_kernel_enforced(self, st_deep):
-        tr = assemble_truncation(st_deep, 10)
-        with pytest.raises(ValueError, match="kernel"):
-            perturbed_truncation(tr, 0.1, np.diag([1.0, 0.0]))
-
-    def test_rank_one_l_rejected(self, st_deep):
-        # sqrt(lambda_min(L* L)) read sigma_min = 2.7e-9 here (LAPACK: 1.2e-17)
-        L = np.outer([0.3, 0.7], [0.2, 0.9])
-        L = L / np.linalg.norm(L, 2)
-        with pytest.raises(ValueError, match="kernel"):
-            perturbed_truncation(assemble_truncation(st_deep, 10), 0.1, L)
-
     def test_verify_reads_perturbed_truncation(self, st_deep):
         # an assembled matrix needs no rules: the perturbed truncation's
         # report is the one for the family whose rule for B_1 is shifted
@@ -245,9 +219,9 @@ class TestPerturbedTruncation:
         got = verify_eigenvector_decay(pert, p)
         want = verify_eigenvector_decay(
             assemble_truncation(shift_first_block(st_deep, 0.01), 100), p)
-        assert got.csv_rows() == want.csv_rows()
-        assert ({k: v for k, v in got.summary().items() if k != "family"}
-                == {k: v for k, v in want.summary().items() if k != "family"})
+        assert cli._report_rows(got) == cli._report_rows(want)
+        assert ({k: v for k, v in cli._report_summary(got).items() if k != "family"}
+                == {k: v for k, v in cli._report_summary(want).items() if k != "family"})
 
     def test_eigenvalue_moves_off_and_monotonically(self, st_deep):
         tr = assemble_truncation(st_deep, 120)
@@ -312,24 +286,20 @@ class TestVerifyGreenDecay:
         a, b = r1.measured[:40], r2.measured[:40]
         assert np.abs(a - b).max() <= 1e-8 * b.max()
 
-    def test_csv_deterministic_and_versioned(self, st_critical, tmp_path):
+    def test_csv_deterministic_and_versioned(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
         r1 = verify_green_decay(assemble_truncation(st_critical, 40), p, k=1)
         r2 = verify_green_decay(assemble_truncation(st_critical, 40), p, k=1)
-        assert r1.csv_text() == r2.csv_text()
-        assert r1.json_text() == r2.json_text()
-        lines = r1.csv_text().splitlines()
+        (csv1, json1), (csv2, json2) = cli._verify_texts([r1]), cli._verify_texts([r2])
+        assert csv1 == csv2 and json1 == json2
+        lines = csv1.splitlines()
         assert lines[0] == "# blockjacobi-bounds v1"
         assert lines[2] == "index,measured,envelope,ratio,verdict"
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        r1.to_csv(f1)
-        r2.to_csv(f2)
-        assert f1.read_bytes() == f2.read_bytes()
 
     def test_summary_fields(self, st_critical):
         p = BoundParams(lam=-1.0, b=0.0)
         rep = verify_green_decay(assemble_truncation(st_critical, 40), p, k=1)
-        s = rep.summary()
+        s = cli._report_summary(rep)
         for key in ("fitted_C", "gamma", "pass_fraction", "all_pass",
                     "qualified_C", "schema"):
             assert key in s
@@ -437,15 +407,14 @@ class TestVerifyGrid:
         assert isinstance(reports, list) and len(reports) == 3
         for p, rep in zip(points, reports):
             single = runner(assemble_truncation(fam, 60), p, k=2)
-            assert rep.csv_text() == single.csv_text()
-            assert rep.json_text() == single.json_text()
+            assert cli._verify_texts([rep]) == cli._verify_texts([single])
 
     def test_one_point_grid_is_a_list(self):
         p = BoundParams(lam=-3.0, b=-2.0)
         reports = verify_green_decay(assemble_truncation(scalar_free_family(), 30), [p])
         assert len(reports) == 1
-        assert reports[0].csv_text() == \
-            verify_green_decay(assemble_truncation(scalar_free_family(), 30), p).csv_text()
+        single = verify_green_decay(assemble_truncation(scalar_free_family(), 30), p)
+        assert cli._verify_texts(reports) == cli._verify_texts([single])
 
     @pytest.mark.parametrize("runner", [verify_green_decay, verify_commuting_decay])
     @pytest.mark.parametrize("field, value", [
@@ -535,11 +504,11 @@ class TestFamilyReadOnce:
 class TestSturmHelpers:
     def test_count_below_matches_dense(self, st_critical):
         tr = assemble_truncation(st_critical, 30)
-        w = np.linalg.eigvalsh(tr.dense())
+        w = np.linalg.eigvalsh(dense(tr))
         for x in (0.0, 1.0, 5.0):
             assert tridiag_count_below(tr, x) == int((w < x).sum())
 
     def test_kth_eigenvalue_matches_dense(self, st_critical):
         tr = assemble_truncation(st_critical, 30)
-        w = np.linalg.eigvalsh(tr.dense())
+        w = np.linalg.eigvalsh(dense(tr))
         assert tridiag_kth_eigenvalue(tr, 4) == pytest.approx(w[3], abs=1e-10)

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -12,7 +11,8 @@ from blockjacobi import (OperatorFamily, StParams, assemble_truncation,
 from blockjacobi.dense_linalg import tridiag_apply
 from blockjacobi.operator_model import offdiag_kernel_flags
 
-from conftest import random_family, shift_first_block
+from conftest import random_family, table_path
+from reference_kernels import dense
 
 
 class TestBlockEntries:
@@ -62,18 +62,18 @@ class TestBlockEntries:
 class TestAssembleTruncation:
     def test_scalar_free_two_blocks(self):
         tr = assemble_truncation(scalar_free_family(), 2)
-        assert np.array_equal(tr.dense().real, [[0, 1], [1, 0]])
+        assert np.array_equal(dense(tr).real, [[0, 1], [1, 0]])
 
     def test_st_alpha_half_two_blocks(self):
         tr = assemble_truncation(st_family(StParams(2, 2, 0.5)), 2)
-        T = tr.dense().real
+        T = dense(tr).real
         assert np.allclose(T[:2, :2], np.diag([2, 2]))
         assert np.allclose(T[2:, 2:], np.diag([2 * 2**0.5, 2 * 2**0.5]))
         assert np.array_equal(T[:2, 2:], [[0, 1], [1, 0]])
 
     @pytest.mark.parametrize("seed,d,N", [(1, 1, 12), (2, 2, 9), (3, 3, 6)])
     def test_dense_is_hermitian(self, seed, d, N):
-        T = assemble_truncation(random_family(seed, d), N).dense()
+        T = dense(assemble_truncation(random_family(seed, d), N))
         assert np.abs(T - T.conj().T).max() <= 1e-14 * max(1.0, np.abs(T).max())
 
     def test_blocks_match_family_rules(self):
@@ -130,7 +130,7 @@ class TestApplyUpsilon:
         M = 8
         u = rng.standard_normal((M, d)) + 1j * rng.standard_normal((M, d))
         out = tridiag_apply(assemble_truncation(fam, M), u.ravel()).reshape(M, d)
-        T = assemble_truncation(fam, M + 1).dense()
+        T = dense(assemble_truncation(fam, M + 1))
         padded = np.zeros(((M + 1) * d,), complex)
         padded[:M * d] = u.ravel()
         want = (T @ padded).reshape(M + 1, d)[:M]
@@ -204,40 +204,39 @@ class TestFamilyConstruction:
                 {"n": 2, "A": [0, [1, 0.5], [1, -0.5], 0], "B": [3, 0, 0, 3]},
             ],
         }
-        path = tmp_path / "fam.json"
-        path.write_text(json.dumps(doc))
-        fam = table_family(str(path))
+        fam = table_family(table_path(tmp_path, doc))
         assert fam.dim == 2 and fam.edge_b == -1.5
         A2, _ = block_entries(fam, 2)
         assert A2[0, 1] == 1 + 0.5j
         tr = assemble_truncation(fam, 2)
-        T = tr.dense()
+        T = dense(tr)
         assert np.abs(T - T.conj().T).max() == 0.0
 
-    def test_table_family_missing_index(self):
-        fam = table_family({"dim": 1, "blocks": [
-            {"n": 1, "A": [1], "B": [0]}]})
+    def test_table_family_missing_index(self, tmp_path):
+        fam = table_family(table_path(tmp_path, {"dim": 1, "blocks": [
+            {"n": 1, "A": [1], "B": [0]}]}))
         with pytest.raises(ValueError, match="no block n=2"):
             assemble_truncation(fam, 2)
 
     @pytest.mark.parametrize("key", ["n", "A", "B"])
-    def test_table_family_record_missing_key(self, key):
+    def test_table_family_record_missing_key(self, key, tmp_path):
         rec = {"n": 1, "A": [1], "B": [0]}
         del rec[key]
         with pytest.raises(ValueError,
                            match=f"malformed family table: block record 1 missing '{key}'"):
-            table_family({"dim": 1, "blocks": [rec]})
+            table_family(table_path(tmp_path, {"dim": 1, "blocks": [rec]}))
 
-    def test_table_family_repeated_index(self):
+    def test_table_family_repeated_index(self, tmp_path):
         # a second record for n = 1 must not silently replace the first
         with pytest.raises(ValueError, match="repeats block n=1"):
-            table_family({"dim": 1, "blocks": [
+            table_family(table_path(tmp_path, {"dim": 1, "blocks": [
                 {"n": 1, "A": [1], "B": [-5]}, {"n": 2, "A": [1], "B": [0]},
-                {"n": 1, "A": [1], "B": [3]}]})
+                {"n": 1, "A": [1], "B": [3]}]}))
 
-    def test_table_family_bad_shape(self):
+    def test_table_family_bad_shape(self, tmp_path):
         with pytest.raises(ValueError, match="entries"):
-            table_family({"dim": 2, "blocks": [{"n": 1, "A": [1], "B": [0]}]})
+            table_family(table_path(tmp_path, {"dim": 2, "blocks": [
+                {"n": 1, "A": [1], "B": [0]}]}))
         # a fractional size or index, or a record or list of the wrong type,
         # is an input error, not a different operator
         rec = {"n": 1, "A": [1], "B": [0]}
@@ -255,23 +254,24 @@ class TestFamilyConstruction:
                 ({"dim": 1, "blocks": [{**rec, "A": 1}]},
                  "block record 1 A and B must be lists")]:
             with pytest.raises(ValueError, match=f"malformed family table: {message}"):
-                table_family(doc)
+                table_family(table_path(tmp_path, doc))
         # an integral float names the same block
-        fam = table_family({"dim": 1.0, "blocks": [{**rec, "n": 1.0}]})
+        fam = table_family(table_path(tmp_path, {"dim": 1.0, "blocks": [{**rec, "n": 1.0}]}))
         assert fam.dim == 1 and block_entries(fam, 1)[0][0, 0] == 1
 
     @pytest.mark.parametrize("edge", [[0], True, False, "0", None, math.inf,
                                       math.nan, 10**400],
                              ids=["list", "true", "false", "string", "null",
                                   "inf", "nan", "int-beyond-float"])
-    def test_table_family_edge_must_be_finite_number(self, edge):
-        doc = {"dim": 1, "blocks": [{"n": 1, "A": [1], "B": [0]}], "edge_b": edge}
+    def test_table_family_edge_must_be_finite_number(self, edge, tmp_path):
+        path = table_path(tmp_path, {"dim": 1, "blocks": [{"n": 1, "A": [1], "B": [0]}],
+                                     "edge_b": edge})
         if edge is None:  # an explicit null is an unset edge
-            assert table_family(doc).edge_b is None
+            assert table_family(path).edge_b is None
             return
         with pytest.raises(ValueError, match=re.escape(
                 f"malformed family table: edge_b = {edge!r}, expected a finite number")):
-            table_family(doc)
+            table_family(path)
 
     @pytest.mark.parametrize("entry", [True, [True, 0], [1, False], "1", ["1", 0],
                                        [1, None], [1, 2, 3], 10**400, [10**400, 0],
@@ -280,39 +280,37 @@ class TestFamilyConstruction:
                                   "pair-string", "pair-null", "triple",
                                   "int-beyond-float", "pair-int-beyond-float-re",
                                   "pair-int-beyond-float-im"])
-    def test_table_family_entry_must_be_number_or_pair(self, entry):
+    def test_table_family_entry_must_be_number_or_pair(self, entry, tmp_path):
         # no entry is coerced into a different matrix, and none raises
         # anything but the input error
         doc = {"dim": 1, "blocks": [{"n": 1, "A": [entry], "B": [0]}]}
         with pytest.raises(ValueError, match=re.escape(
                 f"matrix entry must be a number or an [re, im] pair, got {entry!r}")):
-            table_family(doc)
+            table_family(table_path(tmp_path, doc))
 
-    def test_table_family_entry_values(self):
-        fam = table_family({"dim": 2, "blocks": [
-            {"n": 1, "A": [1, 2.5, [0, -1], [3, 0.5]], "B": [-1, [2, 1], [2, -1], 7]}]})
+    def test_table_family_entry_values(self, tmp_path):
+        fam = table_family(table_path(tmp_path, {"dim": 2, "blocks": [
+            {"n": 1, "A": [1, 2.5, [0, -1], [3, 0.5]], "B": [-1, [2, 1], [2, -1], 7]}]}))
         A, B = block_entries(fam, 1)
         assert np.array_equal(A, [[1, 2.5], [-1j, 3 + 0.5j]])
         assert np.array_equal(B, [[-1, 2 + 1j], [2 - 1j, 7]])
 
-    def test_table_family_integer_edge(self):
-        fam = table_family({"dim": 1, "blocks": [{"n": 1, "A": [1], "B": [0]}],
-                            "edge_b": -2})
+    def test_table_family_integer_edge(self, tmp_path):
+        fam = table_family(table_path(tmp_path, {"dim": 1, "blocks": [
+            {"n": 1, "A": [1], "B": [0]}], "edge_b": -2}))
         assert fam.edge_b == -2.0 and isinstance(fam.edge_b, float)
 
     @pytest.mark.parametrize("doc,kind", [([{"dim": 1}], "list"), (3, "int"),
                                           ("x", "str"), (None, "NoneType")])
     def test_table_family_document_must_be_object(self, doc, kind, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"malformed family table: the document "
                                              f"is a {kind}, expected an object"):
-            table_family(str(path))
+            table_family(table_path(tmp_path, doc))
 
-    def test_table_family_non_hermitian_diag(self):
+    def test_table_family_non_hermitian_diag(self, tmp_path):
         with pytest.raises(ValueError, match="Hermitian"):
-            table_family({"dim": 2, "blocks": [
-                {"n": 1, "A": [0, 1, 1, 0], "B": [0, 1, 0, 0]}]})
+            table_family(table_path(tmp_path, {"dim": 2, "blocks": [
+                {"n": 1, "A": [0, 1, 1, 0], "B": [0, 1, 0, 0]}]}))
 
     def test_deep_shift_helper(self, st_deep):
         _, B1 = block_entries(st_deep, 1)

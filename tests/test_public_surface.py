@@ -1,7 +1,11 @@
 """Every public name of the library is used by the program: each name in a
 module's __all__ appears in the library modules, the scripts or the
 benchmark harness (not counting their tests) as a name, an attribute or an
-import.  A function that only tests call belongs in tests/ as an oracle."""
+import.  A function that only tests call belongs in tests/ as an oracle.
+
+The CLI owns the report format: no other library module serializes JSON or
+opens a file for writing, and no program file imports a private name of
+green_spectral."""
 
 import ast
 from pathlib import Path
@@ -50,3 +54,43 @@ def test_every_public_name_is_used(module):
     assert names, f"{module.name} has no __all__"
     unused = sorted(set(names) - used_names())
     assert unused == [], f"{module.stem} exports names nothing in the program uses"
+
+
+def _writes(node) -> bool:
+    """A call that renders JSON or writes a file: json.dump or json.dumps,
+    open with a mode that writes (or one not spelled out as a constant), or
+    Path.write_text / write_bytes."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Attribute):
+        if isinstance(f.value, ast.Name) and f.value.id == "json":
+            return f.attr in ("dump", "dumps")
+        return f.attr in ("write_text", "write_bytes")
+    if isinstance(f, ast.Name) and f.id == "open":
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        if mode is None:
+            return False
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+    return False
+
+
+def test_only_cli_renders_or_writes():
+    writers = sorted({(p.stem, node.lineno) for p in MODULES if p.name != "cli.py"
+                      for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                      if _writes(node)})
+    assert writers == [], "only cli.py may serialize JSON or write a file"
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert any(_writes(node) for node in ast.walk(cli))
+
+
+def test_no_private_import_from_green_spectral():
+    private = sorted(
+        (p.name, alias.name) for p in PROGRAM
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] == "green_spectral"
+        for alias in node.names if alias.name.startswith("_"))
+    assert private == [], "green_spectral's private names stay inside it"

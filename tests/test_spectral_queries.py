@@ -6,7 +6,6 @@ equal inverse-iteration shifts once, one shift per factor.  Also the
 restart of a start vector that misses its eigenvalue, and the rejection of
 a non-finite edge b or perturbation size tau."""
 
-import json
 import math
 import warnings
 
@@ -20,8 +19,9 @@ from blockjacobi import (BoundParams, OperatorFamily, assemble_truncation, cli,
                          table_family)
 from blockjacobi import dense_linalg as dl
 from blockjacobi import green_spectral
-from conftest import shift_first_block
-from reference_kernels import reference_eigenpairs_below, reference_eigs_below
+from conftest import shift_first_block, table_path
+from reference_kernels import (dense, reference_eigenpairs_below,
+                               reference_eigs_below)
 
 DIAG_SPEC = "diagonal-test:adiag=1;4,bdiag=-2;8,aexp=0.6,bexp=0.6"
 
@@ -125,7 +125,7 @@ class TestEdgeQueryCorpus:
     def test_matches_reference(self, problem, where, frac):
         tr = complex_truncation(*problem)
         n = tr.dense_dim
-        w = np.linalg.eigvalsh(tr.dense())
+        w = np.linalg.eigvalsh(dense(tr))
         j = int(frac * (n - 1))
         b = {"below": w[0] - 1.0, "above": w[-1] + 1.0, "at": w[j],
              "at-own": dl.tridiag_kth_eigenvalue(tr, j + 1),
@@ -159,9 +159,9 @@ def decoupled_table():
 
 
 class TestRestart:
-    def test_start_on_a_decoupled_block_is_redone(self, monkeypatch):
-        tr = assemble_truncation(table_family(decoupled_table()), 8)
-        w = np.linalg.eigvalsh(tr.dense())
+    def test_start_on_a_decoupled_block_is_redone(self, tmp_path, monkeypatch):
+        tr = assemble_truncation(table_family(table_path(tmp_path, decoupled_table())), 8)
+        w = np.linalg.eigvalsh(dense(tr))
         calls = []
         fn = green_spectral.tridiag_inverse_iteration
 
@@ -181,9 +181,8 @@ class TestRestart:
         assert_same_pairs(pairs, reference_eigenpairs_below(tr, 0.0))
 
     def test_cli_prints_the_well_eigenvalues(self, tmp_path, capsys):
-        path = tmp_path / "decoupled.json"
-        path.write_text(json.dumps(decoupled_table()))
-        code = cli.main(["eigs", "--family", str(path), "--N=8", "--b=0"])
+        code = cli.main(["eigs", "--family", table_path(tmp_path, decoupled_table()),
+                         "--N=8", "--b=0"])
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
                 if line.startswith("base,")]
         assert code == 0
@@ -199,15 +198,6 @@ class TestNonFiniteInputs:
                 query(tr, b)
         with pytest.raises(ValueError, match="b must be finite"):
             BoundParams(lam=-1.0, b=b)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    def test_tol_rejected(self, st_critical, tol):
-        # bisection to tol <= 0 never ends, and tol = nan ends at once on nan
-        tr = assemble_truncation(st_critical, 5)
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            dl.tridiag_kth_eigenvalue(tr, 1, tol=tol)
-        with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            dl.tridiag_eigs_below(tr, 0.0, tol=tol)
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_shift_rejected(self, st_critical, x):
