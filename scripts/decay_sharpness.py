@@ -32,7 +32,7 @@ def main() -> int:
     for alpha in (float(a) for a in args.alphas.split(",")):
         trunc = assemble_truncation(st_family(StParams(2.0, 2.0, alpha)), args.N)
         grid = [BoundParams(lam=lam, b=0.0, delta=1.0, eps=0.1) for lam in lams]
-        S = scalar_envelope(trunc, grid[0]).cumulative
+        S = scalar_envelope(trunc, grid[0].delta)
         for lam, p, rep in zip(lams, grid, verify_green_decay(trunc, grid)):
             rates = [-np.log(rep.measured[n - 1]) / S[n - 1]
                      for n in range(lo, hi + 1)]

@@ -1,9 +1,9 @@
 """Decay envelopes and Green-matrix numerics for semi-bounded block Jacobi
 operators with an unbounded gap below the essential spectrum."""
 
-from .bounds import (BoundParams, CommutationError, DecayEnvelope,
-                     check_pairwise_commutation, gamma_rate, phi_delta, psi,
-                     psi_inv, qualified_constant, scalar_envelope, simplified_rate)
+from .bounds import (BoundParams, CommutationError, check_pairwise_commutation,
+                     gamma_rate, phi_delta, psi, psi_inv, qualified_constant,
+                     scalar_envelope, simplified_rate)
 from .dense_linalg import (BlockTridiagLU, EigDecomposition, SingularShiftError,
                            abs_matrix, block_tridiag_factor, hermitian_eig,
                            psd_matfunc, spectral_norm, tridiag_count_below,

@@ -21,7 +21,6 @@ from .operator_model import Truncation
 
 __all__ = [
     "BoundParams",
-    "DecayEnvelope",
     "CommutationError",
     "psi",
     "psi_inv",
@@ -128,27 +127,16 @@ def simplified_rate(p: BoundParams) -> float:
     return (1.0 - p.eps) * math.sqrt(p.gap)
 
 
-@dataclass(frozen=True)
-class DecayEnvelope:
-    """Envelope data: bound between indices j, k is
-    exp(-gamma * (S_max(j,k) - S_min(j,k))) with S_m = sum_{i<m} phi-weights.
-
-    cumulative holds S_1..S_N (S_1 = 0, nondecreasing, increments at most
-    1/sqrt(delta)), weighted by phi_delta(||A_k||); the commuting refinement
-    keeps its operator weights as matrices, exp(gamma * P) of the partial
-    sums P of _phi_partial_sums (see green_spectral.verify_commuting_decay)."""
-
-    gamma: float
-    cumulative: np.ndarray
-
-
-def scalar_envelope(trunc: Truncation, p: BoundParams) -> DecayEnvelope:
-    """Scalar-norm envelope over the truncation's couplings:
-    S_m = sum_{k<m} phi_delta(||A_k||) for m = 1..N."""
+def scalar_envelope(trunc: Truncation, delta: float) -> np.ndarray:
+    """The scalar-norm envelope sums S_1..S_N over the truncation's
+    couplings, S_m = sum_{k<m} phi_delta(||A_k||): S_1 = 0, nondecreasing,
+    increments at most 1/sqrt(delta).  The bound between indices j and k is
+    exp(-gamma * |S_j - S_k|); they depend on delta alone, so one array
+    serves every lambda."""
     S = np.zeros(trunc.nblocks)
     norms = spectral_norm(trunc.offdiag_blocks).tolist()
-    S[1:] = np.cumsum([phi_delta(a, p.delta) for a in norms])
-    return DecayEnvelope(gamma_rate(p), S)
+    S[1:] = np.cumsum([phi_delta(a, delta) for a in norms])
+    return S
 
 
 # relative commutator norm above which two entries count as non-commuting
@@ -203,8 +191,9 @@ def _commutation_certified(M) -> bool:
     # below 1e-24 * top an entry fails no pair: the scan's floor is 1e-12 * top^2
     keep = fro > 1e-24 * top
     V = M.reshape(S, d * d)[keep] / fro[keep, None]
-    dec = hermitian_eig(V.conj().T @ V)
-    U = dec.vectors[:, dec.values > 1e-12 * dec.values[-1]]
+    dec = hermitian_eig((V.conj().T @ V)[None])
+    w = dec.values[0]
+    U = dec.vectors[0][:, w > 1e-12 * w[-1]]
     c = V @ U
     rho = vector_norm(V - c @ U.conj().T).max()
     E = U.conj().T.reshape(-1, d, d)

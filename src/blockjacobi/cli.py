@@ -227,9 +227,9 @@ def _cmd_bounds(args) -> int:
     rows = []
     for lam in lams:
         p = BoundParams(lam=lam, b=b, delta=args.delta, eps=args.eps)
-        rows.append((lam, gamma_rate(p), simplified_rate(p), p))
+        rows.append((lam, gamma_rate(p), simplified_rate(p)))
     if args.out or fmt == "csv":  # else stdout carries the JSON alone
-        for lam, gam, simp, _ in rows:
+        for lam, gam, simp in rows:
             print(f"lambda={_fmt_complex(lam)} gamma={_fmt(gam)} "
                   f"simplified_rate={_fmt(simp)}")
     if fmt == "json":
@@ -242,15 +242,15 @@ def _cmd_bounds(args) -> int:
                  f"eps={_fmt(args.eps)}"]
         if args.N is not None:
             # S_m depends on delta alone, so one envelope serves every lambda
-            S = scalar_envelope(assemble_truncation(fam, args.N), rows[0][3]).cumulative
+            S = scalar_envelope(assemble_truncation(fam, args.N), args.delta)
             lines.append("lambda,index,cumulative,envelope")
-            for lam, gam, _, _ in rows:
+            for lam, gam, _ in rows:
                 for m in range(1, args.N + 1):
                     lines.append(f"{_fmt_complex(lam)},{m},{_fmt(S[m-1])},"
                                  f"{_fmt(np.exp(-gam * S[m-1]))}")
         else:
             lines.append("lambda,gamma,simplified_rate")
-            for lam, gam, simp, _ in rows:
+            for lam, gam, simp in rows:
                 lines.append(f"{_fmt_complex(lam)},{_fmt(gam)},{_fmt(simp)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -264,20 +264,20 @@ def _cmd_green(args) -> int:
         raise CliError(f"--k must lie in 1..{args.N}")
     trunc = assemble_truncation(fam, args.N)
     results = [col.norms() for col in green_column(trunc, lams, k)]
-    grid = len(lams) > 1
-    lines = [CSV_HEADER,
-             f"# command=green family={fam.label} N={args.N} k={k}",
-             "lambda,index,norm" if grid else "index,norm"]
-    lines.extend(f"{_fmt_complex(lam) + ',' if grid else ''}{j},{_fmt(v)}"
-                 for lam, norms in zip(lams, results)
-                 for j, v in enumerate(norms, start=1))
     if args.format == "json":
         payload = [{"lambda": [lam.real, lam.imag], "k": k,
                     "norms": [float(v) for v in norms]}
                    for lam, norms in zip(lams, results)]
         _emit(_json_text(payload), args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
+        return 0
+    grid = len(lams) > 1
+    lines = [CSV_HEADER,
+             f"# command=green family={fam.label} N={args.N} k={k}",
+             "lambda,index,norm" if grid else "index,norm"]
+    for lam, norms in zip(lams, results):
+        label = _fmt_complex(lam) + "," if grid else ""
+        lines.extend(f"{label}{j},{_fmt(v)}" for j, v in enumerate(norms.tolist(), start=1))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

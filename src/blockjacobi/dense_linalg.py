@@ -13,15 +13,14 @@ negative pivot.  Each multisection sweep spreads 128 shifts over the open
 eigenvalue brackets as levels of halving (127 shifts, 7 levels for a lone
 bracket), so one eigenvalue at its tolerance takes about 7 sweeps
 where bisection took about 44, and comes out as the bisection midpoint bit
-for bit.  The cyclic Jacobi runs on whole stacks (S, n, n) for every n,
-one matrix being the S = 1 case, so each member is bitwise what it gives
-alone.  Block norms are stacked on it: spectral_norm maps one matrix to a
-float and a stack (S, m, n) to an (S,) array through one hermitian_eig
-call.  The block LU is shift-batched: a grid of shifts shares one
-elimination over (S, d, d) stacks and one solve, each shift bitwise what it
-is alone (a scalar is the S = 1 case).  The test suite cross-checks these
-kernels against LAPACK oracles, so the library itself calls no LAPACK
-solver or eigensolver.
+for bit.  The small-block kernels (hermitian_eig, abs_matrix, spectral_norm,
+psd_matfunc and the smallest singular value) take stacks (S, m, n) only,
+one matrix being the S = 1 stack; each runs one stacked cyclic Jacobi, so
+each member is bitwise what it gives alone.  The block LU is
+shift-batched: a grid of shifts shares one elimination over (S, d, d)
+stacks and one solve, each shift bitwise what it is alone (a scalar is the
+S = 1 case).  The test suite cross-checks these kernels against LAPACK
+oracles, so the library itself calls no LAPACK solver or eigensolver.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ __all__ = [
 
 # Jacobi rotations stop below JACOBI_OFF_TOL * ||H||_F of off-diagonal mass
 # or fail after JACOBI_MAX_SWEEPS sweeps; a checked factorization refuses a
-# pivot condition estimate above COND_LIMIT; a subnormal scale (below _TINY)
-# is prescaled by the power of two _PRESCALE
+# pivot condition estimate above COND_LIMIT; a subnormal scale (one whose
+# reciprocal overflows) is prescaled by the power of two _PRESCALE
 JACOBI_OFF_TOL, JACOBI_MAX_SWEEPS = 1e-14, 100
-_TINY, _PRESCALE = np.finfo(float).tiny, 2.0 ** 64
+_PRESCALE = 2.0 ** 64
 COND_LIMIT = 1e12
 
 
@@ -112,40 +111,32 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
-def _require_square(M) -> np.ndarray:
-    A = np.array(M, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+def _stack(A, square: bool = True) -> np.ndarray:
+    """A as a complex128 stack of shape (S, m, n), square members where
+    `square`; any other rank or shape raises ValueError.  The small-block
+    kernels take stacks only: one matrix is the S = 1 stack A[None]."""
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim != 3 or square and A.shape[1] != A.shape[2]:
+        want = "(S, n, n)" if square else "(S, m, n)"
+        raise ValueError(f"expected a stack of shape {want}, got shape {A.shape}")
     return A
 
 
 def hermitian_eig(H) -> EigDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of every member of a Hermitian stack (S, n, n) by
+    one stacked cyclic Jacobi: values (S, n) and vectors (S, n, n).
 
-    Sweeps run in fixed (p, q) lexicographic order until the off-diagonal
-    Frobenius mass drops below JACOBI_OFF_TOL * ||H||_F, so results are
-    deterministic across runs.  Rejects non-Hermitian input (1e-10 relative)
-    and raises ArithmeticError at once for non-finite input.
-
-    A stack (S, n, n) gives values (S, n) and vectors (S, n, n) from one
-    stacked Jacobi; one matrix is the S = 1 case, so every member is bitwise
-    what it gives alone.
+    Sweeps run in fixed (p, q) lexicographic order, each member rotating
+    until its own off-diagonal Frobenius mass is below JACOBI_OFF_TOL *
+    ||H_s||_F, so results are deterministic and every member is bitwise what
+    it gives alone.  Rejects non-Hermitian input (1e-10 relative) and raises
+    ArithmeticError at once for non-finite input.  Complex array operations
+    only: abs() of one complex a_pq or phase pivot is hypot(Re, Im); np.abs
+    on an array (a SIMD loop) differs from it by one ulp on many entries, so
+    it only reduces whole arrays.
     """
-    if np.ndim(H) == 3:
-        return _jacobi(np.asarray(H, dtype=np.complex128))
-    dec = _jacobi(_require_square(H)[None])
-    return EigDecomposition(dec.values[0], dec.vectors[0])
-
-
-def _jacobi(A) -> EigDecomposition:
-    """The cyclic Jacobi of hermitian_eig on every member of an (S, n, n)
-    stack, each member rotating until its own off-diagonal mass is below
-    target, in complex array operations only.  abs() of one complex a_pq or
-    phase pivot is hypot(Re, Im); np.abs on an array (a SIMD loop) differs
-    from it by one ulp on many entries, so it only reduces whole arrays."""
-    S, n, n2 = A.shape
-    if n != n2:
-        raise ValueError(f"expected a stack of square matrices, got shape {A.shape}")
+    A = _stack(H)
+    S, n, _ = A.shape
     if n == 0:
         return EigDecomposition(np.zeros((S, 0)), np.zeros((S, 0, 0), np.complex128))
     amax = np.abs(A).max(axis=(1, 2), initial=0.0)
@@ -203,11 +194,10 @@ def _jacobi(A) -> EigDecomposition:
 
 
 def abs_matrix(A) -> np.ndarray:
-    """|A| = (A* A)^(1/2), Hermitian PSD; a stack (S, n, n) goes through one
-    stacked hermitian_eig, each member bitwise what it gives alone."""
-    A = np.asarray(A, dtype=np.complex128)
-    if np.ndim(A) != 3:
-        return abs_matrix(_require_square(A)[None])[0]
+    """|A| = (A* A)^(1/2), Hermitian PSD, for each member of a stack
+    (S, n, n) through one stacked hermitian_eig, each member bitwise what it
+    gives alone."""
+    A = _stack(A)
     m = np.abs(A).max(axis=(1, 2), initial=0.0)
     As, ms = _subnormal_prescale(A, m)
     B = As / np.where(m > 0.0, ms, 1.0)[:, None, None]
@@ -217,17 +207,14 @@ def abs_matrix(A) -> np.ndarray:
     return (S + S.conj().transpose(0, 2, 1)) / 2.0
 
 
-def spectral_norm(A):
-    """Largest singular value (operator 2-norm), scale-safe.
-
-    One matrix (a 1-d A is one row) gives a float; a stack (S, m, n) gives an
-    (S,) array by one stacked hermitian_eig of the Gram matrices, bitwise what
-    each matrix gives alone.  A subnormal member is prescaled by a power of
-    two; a member with non-finite entries gives NaN.
+def spectral_norm(A) -> np.ndarray:
+    """Largest singular values (operator 2-norms) of a stack (S, m, n), as
+    an (S,) array, scale-safe: one stacked hermitian_eig of the Gram
+    matrices, each member bitwise what it gives alone.  A subnormal member
+    is prescaled by a power of two; a member with non-finite entries gives
+    NaN.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    single = A.ndim < 3
-    A = A[(None,) * (3 - A.ndim)]
+    A = _stack(A, square=False)
     m = np.abs(A).max(axis=(1, 2), initial=0.0)
     As, ms = _subnormal_prescale(A, m)
     with np.errstate(all="ignore"):
@@ -236,43 +223,37 @@ def spectral_norm(A):
         ok = np.isfinite(H).all(axis=(1, 2))
         top = hermitian_eig(np.where(ok[:, None, None], H, 0.0)).values
         top = np.maximum(top.max(axis=1, initial=-np.inf), 0.0)
-        norms = np.where(ok, np.where(m == 0.0, 0.0, m * np.sqrt(top)), np.nan)
-    return float(norms[0]) if single else norms
+        return np.where(ok, np.where(m == 0.0, 0.0, m * np.sqrt(top)), np.nan)
 
 
-def _sigma_min(A) -> float:
-    """Smallest singular value, to about 1e-16 * ||A||; sqrt(lambda_min(A* A))
-    keeps half the digits (a rank-one block reads about 1e-9 * ||A||).  After
-    max-abs scaling: |det A| / ||A||_2 for d = 2, else the smallest |eigenvalue|
-    of the Hermitian [[0, A], [A*, 0]], whose eigenvalues are +-sigma_i."""
-    A = _require_square(A)
-    m = float(np.abs(A).max()) if A.size else 0.0
-    if m == 0.0 or A.shape[0] == 1:
-        return m
-    if m < _TINY:  # 1 / m overflows: the power-of-two prescale, undone exactly
-        return _sigma_min(A * _PRESCALE) / _PRESCALE
-    B = A / m
-    if B.shape[0] == 2:
-        a, b, c, e = B.ravel().tolist()
-        h = 0.5 * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(e) ** 2)
-        det = abs(a * e - b * c)  # sigma_max^2 + sigma_min^2 = 2h, product det
-        return m * det / math.sqrt(h + math.sqrt(max((h - det) * (h + det), 0.0)))
+def _sigma_min(A) -> np.ndarray:
+    """Smallest singular values of a stack (S, d, d), as an (S,) array, each
+    to about 1e-16 * ||A_s||; sqrt(lambda_min(A* A)) keeps half the digits (a
+    rank-one block reads about 1e-9 * ||A||).  After max-abs scaling (a
+    subnormal member prescaled as in spectral_norm), one stacked
+    hermitian_eig of the dilations [[0, A_s], [A_s*, 0]], whose eigenvalues
+    are +-sigma_i: sigma_min is the smallest |eigenvalue|."""
+    A = _stack(A)
+    m = np.abs(A).max(axis=(1, 2), initial=0.0)
+    As, ms = _subnormal_prescale(A, m)
+    B = As / np.where(m > 0.0, ms, 1.0)[:, None, None]
     Z = np.zeros_like(B)
-    H = np.block([[Z, B], [B.conj().T, Z]])
-    return m * float(np.abs(hermitian_eig(H).values).min())
+    H = np.concatenate([np.concatenate([Z, B], axis=2),
+                        np.concatenate([B.conj().transpose(0, 2, 1), Z], axis=2)], axis=1)
+    return m * np.abs(hermitian_eig(H).values).min(axis=1)
 
 
 def psd_matfunc(H, f) -> np.ndarray:
-    """Spectral function f(H) of a Hermitian PSD matrix, or of each member of
-    a stack (S, n, n) through one stacked hermitian_eig call.
+    """Spectral function f(H_s) of each Hermitian PSD member of a stack
+    (S, n, n), through one stacked hermitian_eig call.
 
-    Eigenvalues in [-1e-12*||H||, 0) are clamped to 0 (PSD only up to
+    Eigenvalues in [-1e-12*||H_s||, 0) are clamped to 0 (PSD only up to
     roundoff); genuinely negative spectrum is rejected, as is f undefined
     or non-finite at some eigenvalue, for the first bad member.  f is called
     on one eigenvalue at a time, in order.
     """
     dec = hermitian_eig(H)
-    w = np.atleast_2d(dec.values)
+    w, V = dec.values, dec.vectors
     negative = w[:, :1].min(axis=1, initial=0.0) < \
         -1e-12 * np.maximum(np.abs(w).max(axis=1, initial=0.0), 1e-300)
     fw = np.empty(w.shape, dtype=np.complex128)
@@ -285,9 +266,8 @@ def psd_matfunc(H, f) -> np.ndarray:
             raise ValueError(f"function undefined at an eigenvalue: {exc}") from exc
         if not np.isfinite(fw[i]).all():
             raise ValueError("function not finite at some eigenvalue")
-    V = dec.vectors.reshape(w.shape + w.shape[-1:])
     S = (V * fw[:, None, :]) @ V.conj().transpose(0, 2, 1)
-    return ((S + S.conj().transpose(0, 2, 1)) / 2.0).reshape(dec.vectors.shape)
+    return (S + S.conj().transpose(0, 2, 1)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +610,7 @@ def _count_general(section, x, bump, stop):
     D = B[0] - xI
     for k in range(N):
         D = 0.5 * (D + D.conj().transpose(0, 2, 1))
-        ev = _jacobi(D).values
+        ev = hermitian_eig(D).values
         neg += np.count_nonzero(ev < 0.0, axis=1)
         if k == N - 1 or stop.due(k) and stop.holds(k, ev[:, 0], ev[:, -1]):
             break

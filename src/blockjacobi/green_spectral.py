@@ -313,7 +313,7 @@ def verify_green_decay(trunc: Truncation, p, k: int = 1,
     truncation, spectral query and set of sums S_j.
     """
     points, single = _grid(p)
-    S = scalar_envelope(trunc, points[0]).cumulative
+    S = scalar_envelope(trunc, points[0].delta)
     cols = green_column(trunc, [q.lam for q in points], k)
     reports = [_build_report(
         "green", trunc, q, k, col.norms(),
@@ -350,8 +350,7 @@ def verify_eigenvector_decay(trunc: Truncation, p: BoundParams, which=1,
         raise EmptySpectrumError(f"no eigenvalue below b = {p.b} at N = {trunc.nblocks}")
     idx, pair = _select_pair(pairs, which)
     p_eff = p.with_lambda(pair.value)
-    env = scalar_envelope(trunc, p_eff)
-    log_env = -env.gamma * env.cumulative
+    log_env = -gamma_rate(p_eff) * scalar_envelope(trunc, p.delta)
     measured = pair.block_norms(trunc.dim)
     meta = {
         "kind": "eigenvector",

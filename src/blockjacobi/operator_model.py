@@ -139,8 +139,7 @@ def offdiag_kernel_flags(trunc: Truncation) -> list[bool]:
     numerically trivial kernel (smallest singular value above 1e-12 *
     ||A_n||).  Reported, not enforced."""
     A = trunc.offdiag_blocks
-    return [_sigma_min(An) > 1e-12 * nrm
-            for An, nrm in zip(A, spectral_norm(A).tolist())]
+    return (_sigma_min(A) > 1e-12 * spectral_norm(A)).tolist()
 
 
 # ---------------------------------------------------------------------------

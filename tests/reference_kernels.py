@@ -173,7 +173,7 @@ def reference_factor(B, A, shift, check_conditioning=True):
                 out["transforms"].append(Dinv @ A[k])
                 out["forwards"].append(A[k].conj().T @ Dinv)
                 D = B[k + 1] - shift * I - A[k].conj().T @ (Dinv @ A[k])
-        cond = np.array([max(dl.spectral_norm(P), scale) * dl.spectral_norm(Q)
+        cond = np.array([max(dl.spectral_norm(P[None])[0], scale) * dl.spectral_norm(Q[None])[0]
                          for P, Q in zip(out["pivots"], out["inverses"])])
     bad = np.flatnonzero(~(cond <= dl.COND_LIMIT))
     if check_conditioning and bad.size:

@@ -185,7 +185,7 @@ class TestStackedPsdMatfunc:
             got = dl.psd_matfunc(H, f)
             assert got.shape == H.shape
             for h, g in zip(H, got):
-                assert same_bits(dl.psd_matfunc(h, f), g)
+                assert same_bits(dl.psd_matfunc(h[None], f)[0], g)
 
     def test_errors_name_the_first_bad_member(self):
         H = np.array([np.eye(2), np.diag([-1.0, 1.0]), np.diag([0.0, 1.0])])

@@ -36,9 +36,18 @@ def dense_from_blocks(Bs, As):
     return T
 
 
+def one(kernel, M, *args):
+    """A small-block kernel on the S = 1 stack of the one matrix M, with
+    the stack axis taken off its result."""
+    out = kernel(np.asarray(M)[None], *args)
+    if isinstance(out, dl.EigDecomposition):
+        return dl.EigDecomposition(out.values[0], out.vectors[0])
+    return out[0]
+
+
 class TestHermitianEig:
     def test_pauli_x(self):
-        dec = dl.hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        dec = one(dl.hermitian_eig, np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(dec.values, [-1.0, 1.0], atol=1e-14)
         # eigenvectors are (1, -+1)/sqrt(2) up to phase
         for i, sign in enumerate([-1.0, 1.0]):
@@ -47,13 +56,13 @@ class TestHermitianEig:
             assert np.allclose(v[1] / v[0], sign, atol=1e-12)
 
     def test_diagonal_permutation(self):
-        dec = dl.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
+        dec = one(dl.hermitian_eig, np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(dec.values, [1.0, 2.0, 3.0], atol=0)
 
     def test_random_30x30_residual(self):
         rng = np.random.default_rng(7)
         A = random_hermitian(rng, 30)
-        dec = dl.hermitian_eig(A)
+        dec = one(dl.hermitian_eig, A)
         nrm = np.linalg.norm(A, 2)
         resid = A @ dec.vectors - dec.vectors * dec.values
         assert np.linalg.norm(resid, axis=0).max() <= 1e-10 * nrm
@@ -69,7 +78,7 @@ class TestHermitianEig:
         assert len(sizes) == 200
         for n in sizes:
             A = random_hermitian(rng, n, complex_entries=bool(rng.integers(2)))
-            dec = dl.hermitian_eig(A)
+            dec = one(dl.hermitian_eig, A)
             nrm = max(np.linalg.norm(A, 2), 1e-300)
             resid = A @ dec.vectors - dec.vectors * dec.values
             assert np.linalg.norm(resid, axis=0).max() <= 1e-10 * nrm
@@ -79,35 +88,35 @@ class TestHermitianEig:
     def test_values_match_lapack(self):
         rng = np.random.default_rng(5)
         A = random_hermitian(rng, 24)
-        dec = dl.hermitian_eig(A)
+        dec = one(dl.hermitian_eig, A)
         assert np.abs(dec.values - np.linalg.eigvalsh(A)).max() < 1e-11
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         A = random_hermitian(rng, 12)
-        d1 = dl.hermitian_eig(A)
-        d2 = dl.hermitian_eig(A)
+        d1 = one(dl.hermitian_eig, A)
+        d2 = one(dl.hermitian_eig, A)
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(d1.vectors, d2.vectors)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            dl.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            dl.hermitian_eig(np.array([[[0.0, 1.0], [0.0, 0.0]]]))
 
 
 class TestAbsMatrix:
     def test_antidiagonal(self):
         A = np.array([[0.0, 2.5], [2.5, 0.0]])
-        assert np.abs(dl.abs_matrix(A) - 2.5 * np.eye(2)).max() < 1e-12
+        assert np.abs(one(dl.abs_matrix, A) - 2.5 * np.eye(2)).max() < 1e-12
 
     def test_diagonal_signs(self):
-        assert np.abs(dl.abs_matrix(np.diag([-2.0, 3.0])) - np.diag([2.0, 3.0])).max() < 1e-12
+        assert np.abs(one(dl.abs_matrix, np.diag([-2.0, 3.0])) - np.diag([2.0, 3.0])).max() < 1e-12
 
     def test_defining_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            S = dl.abs_matrix(A)
+            S = one(dl.abs_matrix, A)
             nrm = np.linalg.norm(A, 2)
             assert np.linalg.norm(S @ S - A.conj().T @ A, 2) <= 1e-10 * nrm**2
 
@@ -117,21 +126,21 @@ class TestAbsMatrix:
             A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             U, _ = np.linalg.qr(rng.standard_normal((3, 3))
                                 + 1j * rng.standard_normal((3, 3)))
-            diff = dl.abs_matrix(U @ A) - dl.abs_matrix(A)
+            diff = one(dl.abs_matrix, U @ A) - one(dl.abs_matrix, A)
             assert np.abs(diff).max() <= 1e-9 * np.linalg.norm(A, 2)
 
 
 class TestSpectralNorm:
     def test_antidiagonal(self):
-        assert dl.spectral_norm(np.array([[0.0, 2.0], [2.0, 0.0]])) == pytest.approx(2.0, abs=1e-13)
+        assert one(dl.spectral_norm, np.array([[0.0, 2.0], [2.0, 0.0]])) == pytest.approx(2.0, abs=1e-13)
 
     def test_identity(self):
-        assert dl.spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-13)
+        assert one(dl.spectral_norm, np.eye(3)) == pytest.approx(1.0, abs=1e-13)
 
     def test_random_vector_oracle(self):
         rng = np.random.default_rng(17)
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        sigma = dl.spectral_norm(A)
+        sigma = one(dl.spectral_norm, A)
         ratios = []
         for _ in range(100):
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -141,7 +150,7 @@ class TestSpectralNorm:
 
     def test_tiny_scale(self):
         A = 1e-200 * np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert dl.spectral_norm(A) == pytest.approx(2e-200, rel=1e-12)
+        assert one(dl.spectral_norm, A) == pytest.approx(2e-200, rel=1e-12)
 
 
 class TestSigmaMin:
@@ -152,7 +161,7 @@ class TestSigmaMin:
             A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             A *= 10.0 ** rng.uniform(-200, 200)
             want = np.linalg.svd(A, compute_uv=False)
-            assert abs(dl._sigma_min(A) - want[-1]) <= 1e-14 * want[0]
+            assert abs(one(dl._sigma_min, A) - want[-1]) <= 1e-14 * want[0]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rank_deficient_reads_near_zero(self, d):
@@ -161,11 +170,44 @@ class TestSigmaMin:
             u = rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))
             v = rng.standard_normal((d - 1, d)) + 1j * rng.standard_normal((d - 1, d))
             A = u @ v
-            assert dl._sigma_min(A) <= 1e-14 * np.linalg.norm(A, 2)
+            assert one(dl._sigma_min, A) <= 1e-14 * np.linalg.norm(A, 2)
 
     def test_zero_and_scalar(self):
-        assert dl._sigma_min(np.zeros((2, 2))) == 0.0
-        assert dl._sigma_min(np.array([[-3.0 + 4.0j]])) == 5.0
+        assert one(dl._sigma_min, np.zeros((2, 2))) == 0.0
+        assert one(dl._sigma_min, np.array([[-3.0 + 4.0j]])) == 5.0
+
+
+class TestStacksOnly:
+    """The small-block kernels take stacks (S, m, n) only, one matrix being
+    the S = 1 stack, and reject any other rank with one message."""
+
+    @pytest.mark.parametrize("kernel", [
+        dl.hermitian_eig, dl.abs_matrix, dl.spectral_norm,
+        lambda H: dl.psd_matfunc(H, lambda x: x), dl._sigma_min],
+        ids=["hermitian_eig", "abs_matrix", "spectral_norm", "psd_matfunc", "sigma_min"])
+    def test_rejects_one_matrix(self, kernel):
+        for M in (np.eye(2), np.ones(2), np.zeros((1, 1, 2, 2))):
+            with pytest.raises(ValueError, match=r"^expected a stack of shape "
+                                                 r"\(S, [mn], n\), got shape \("):
+                kernel(M)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sigma_min_of_a_mixed_stack(self, d):
+        # a zero block, a rank-one block, a subnormal block and blocks at
+        # 1e+-200 in one stack, against LAPACK on the member prescaled by 2^64
+        rng = np.random.default_rng(300 + d)
+
+        def block():
+            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+        A = np.array([np.zeros((d, d)), block()[:, :1] @ block()[:1], 1e-310 * block(),
+                      1e200 * block(), 1e-200 * block(), block()])
+        got = dl._sigma_min(A)
+        assert got.shape == (len(A),) and got[0] == 0.0
+        for a, g in zip(A, got):
+            assert dl._sigma_min(a[None]).tobytes() == g.tobytes()
+            sv = np.linalg.svd(a * 2.0 ** 64, compute_uv=False) / 2.0 ** 64
+            assert abs(g - sv[-1]) <= 1e-14 * sv[0] + 2e-323
 
 
 class TestPsdMatfunc:
@@ -173,26 +215,26 @@ class TestPsdMatfunc:
         rng = np.random.default_rng(19)
         A = rng.standard_normal((4, 4))
         H = A @ A.T
-        out = dl.psd_matfunc(H, lambda x: x)
+        out = one(dl.psd_matfunc, H, lambda x: x)
         assert np.abs(out - H).max() <= 1e-12 * np.linalg.norm(H, 2)
 
     def test_scalar_block(self):
         phi = lambda x: 1.0 if x < 1.0 else 1.0 / np.sqrt(x)
-        out = dl.psd_matfunc(4.0 * np.eye(2), phi)
+        out = one(dl.psd_matfunc, 4.0 * np.eye(2), phi)
         assert np.abs(out - 0.5 * np.eye(2)).max() < 1e-13
 
     def test_piecewise_weight(self):
         phi = lambda x: 1.0 if x < 1.0 else 1.0 / np.sqrt(x)
-        out = dl.psd_matfunc(np.diag([0.25, 4.0]), phi)
+        out = one(dl.psd_matfunc, np.diag([0.25, 4.0]), phi)
         assert np.abs(out - np.diag([1.0, 0.5])).max() < 1e-13
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="PSD"):
-            dl.psd_matfunc(np.diag([-1.0, 1.0]), lambda x: x)
+            one(dl.psd_matfunc, np.diag([-1.0, 1.0]), lambda x: x)
 
     def test_rejects_undefined(self):
-        with pytest.raises(ValueError):
-            dl.psd_matfunc(np.diag([0.0, 1.0]), lambda x: 1.0 / float(x))
+        with pytest.raises(ValueError, match="undefined"):
+            one(dl.psd_matfunc, np.diag([0.0, 1.0]), lambda x: 1.0 / float(x))
 
 
 class TestBlockTridiagSolve:

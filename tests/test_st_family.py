@@ -49,8 +49,8 @@ class TestStFamily:
         fam = st_family(P06)
         for n in (1, 5, 12):
             A, _ = block_entries(fam, n)
-            assert spectral_norm(A) == pytest.approx(n ** 0.6, rel=1e-12)
-            assert np.abs(abs_matrix(A) - n ** 0.6 * np.eye(2)).max() < 1e-12 * n ** 0.6
+            assert spectral_norm(A[None])[0] == pytest.approx(n ** 0.6, rel=1e-12)
+            assert np.abs(abs_matrix(A[None])[0] - n ** 0.6 * np.eye(2)).max() < 1e-12 * n ** 0.6
 
     def test_commutator_vanishes_iff_s_equals_t(self):
         for s, t, commutes in [(2.0, 2.0, True), (1.0, 4.0, False)]:

@@ -19,8 +19,6 @@ def reference_spectral_norm(A) -> float:
     """The per-block spectral_norm body the stacked kernel replaces: the full
     per-matrix cyclic Jacobi on A* A / max|A|^2, one matrix at a time."""
     A = np.asarray(A, dtype=np.complex128)
-    if A.ndim == 1:
-        A = A[None, :]
     m = float(np.abs(A).max()) if A.size else 0.0
     if m == 0.0:
         return 0.0
@@ -37,7 +35,7 @@ def same_bits(a, b) -> bool:
 
 def check_stack(A):
     """Stacked norms equal the per-block reference bitwise, and each member
-    alone (S = 1) gives the same float.  Where the reference fails (its
+    alone (its S = 1 stack) gives the same bits.  Where the reference fails (its
     1 / max|A| overflows for a subnormal member), the power-of-two prescaled
     kernel must match LAPACK instead, up to a few subnormal ulps."""
     want = []
@@ -50,9 +48,9 @@ def check_stack(A):
     got = dl.spectral_norm(A)
     assert isinstance(got, np.ndarray) and got.shape == (A.shape[0],)
     for a, g, w in zip(A, got, want):
-        single = dl.spectral_norm(a)
-        assert isinstance(single, float)
-        assert same_bits(single, g)
+        single = dl.spectral_norm(a[None])
+        assert single.shape == (1,)
+        assert same_bits(single[0], g)
         if w is None:
             sv = np.linalg.svd(a * 2.0 ** 64, compute_uv=False)[0] / 2.0 ** 64
             assert abs(g - sv) <= 1e-13 * sv + 2e-323
@@ -62,14 +60,15 @@ def check_stack(A):
 
 def check_eig_stack(H):
     """The stacked hermitian_eig equals the per-matrix reference Jacobi
-    bitwise, values and vectors, and so does each member alone."""
+    bitwise, values and vectors, and so does each member alone (its S = 1
+    stack)."""
     dec = dl.hermitian_eig(H)
     assert dec.values.shape == H.shape[:2] and dec.vectors.shape == H.shape
     for h, w, V in zip(H, dec.values, dec.vectors):
         ref = reference_hermitian_eig(h)
         assert same_bits(ref.values, w) and same_bits(ref.vectors, V)
-        one = dl.hermitian_eig(h)
-        assert same_bits(one.values, w) and same_bits(one.vectors, V)
+        one = dl.hermitian_eig(h[None])
+        assert same_bits(one.values[0], w) and same_bits(one.vectors[0], V)
 
 
 # complex entries m * 10^e over 500 decades; whole blocks may be zero
@@ -131,12 +130,10 @@ class TestStackedSpectralNorm:
         rng = np.random.default_rng(5)
         for shape in [(7, 1, 2), (7, 3, 2), (7, 2, 1), (7, 4, 3)]:
             check_stack(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert same_bits(dl.spectral_norm(v), reference_spectral_norm(v))
 
     def test_empty_and_zero(self):
         assert dl.spectral_norm(np.zeros((0, 2, 2))).shape == (0,)
-        assert dl.spectral_norm(np.zeros((2, 2))) == 0.0
+        assert np.array_equal(dl.spectral_norm(np.zeros((1, 2, 2))), [0.0])
         assert np.array_equal(dl.spectral_norm(np.zeros((3, 2, 0))), np.zeros(3))
 
     def test_subnormal_gram_entry_matches_reference(self):
@@ -144,7 +141,7 @@ class TestStackedSpectralNorm:
         # overflows the Jacobi's stopping test: both kernels give the norm
         A = np.array([[1.0, 1e-310], [0.0, 0.5]])
         assert reference_spectral_norm(A) == 1.0
-        assert dl.spectral_norm(A) == 1.0
+        assert dl.spectral_norm(A[None])[0] == 1.0
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_subnormal_largest_entry_is_prescaled(self, d):
@@ -154,7 +151,7 @@ class TestStackedSpectralNorm:
         A[d - 1, d - 1] = 2.22507386e-309j
         with pytest.raises(ArithmeticError), np.errstate(all="ignore"):
             reference_spectral_norm(A)
-        assert dl.spectral_norm(A) == 2.22507386e-309
+        assert dl.spectral_norm(A[None])[0] == 2.22507386e-309
         check_stack(np.array([A, np.eye(d)]))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -184,14 +181,14 @@ class TestSubnormalScales:
     def test_hermitian_eig_with_subnormal_off_diagonal_converges(self, d):
         H = np.diag(np.arange(d, 0, -1) / d).astype(complex)
         H[0, 1] = H[1, 0] = 1e-310
-        dec = dl.hermitian_eig(H)
-        assert same_bits(dec.values, np.sort(np.diag(H).real))
+        dec = dl.hermitian_eig(H[None])
+        assert same_bits(dec.values[0], np.sort(np.diag(H).real))
         check_eig_stack(np.array([H, np.eye(d)]))
 
     def test_spectral_norm_of_subnormal_matrix(self):
         A = np.array([[3e-310, 1e-310j], [0.0, -2e-310]])
         sv = np.linalg.svd(A * 2.0 ** 64, compute_uv=False)[0] / 2.0 ** 64
-        got = dl.spectral_norm(A)
+        got = dl.spectral_norm(A[None])[0]
         assert abs(got - sv) <= 1e-13 * sv + 2e-323
         assert same_bits(dl.spectral_norm(np.array([np.eye(2), A]))[1], got)
 
@@ -200,7 +197,7 @@ class TestSubnormalScales:
         A = np.array([[3e-310, 1e-310j], [0.0, -2e-310]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = dl.abs_matrix(A)
+            got = dl.abs_matrix(A[None])[0]
         assert np.abs(got - lapack_abs(A)).max() <= 1e-13 * 3e-310 + 4e-323
         assert same_bits(dl.abs_matrix(np.array([np.eye(2), A]))[1], got)
 
@@ -212,8 +209,9 @@ class TestSubnormalScales:
         sv = np.linalg.svd(A * 2.0 ** 64, compute_uv=False)[-1] / 2.0 ** 64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = dl._sigma_min(A)
+            got = dl._sigma_min(A[None])[0]
         assert abs(got - sv) <= 1e-13 * sv + 2e-323
+        assert same_bits(dl._sigma_min(np.array([np.eye(d), A]))[1], got)
 
 
 def reference_abs_matrix(A) -> np.ndarray:
@@ -240,7 +238,7 @@ class TestStackedAbsMatrix:
         got = dl.abs_matrix(A)
         assert got.shape == A.shape
         for a, g in zip(A, got):
-            assert same_bits(dl.abs_matrix(a), g)
+            assert same_bits(dl.abs_matrix(a[None])[0], g)
             with np.errstate(all="ignore"):
                 try:
                     want = reference_abs_matrix(a)
@@ -265,8 +263,8 @@ class TestStackedAbsMatrix:
 
     def test_empty_stack_and_rejects_non_square(self):
         assert dl.abs_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
-        with pytest.raises(ValueError):
-            dl.abs_matrix(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="stack"):
+            dl.abs_matrix(np.zeros((1, 2, 3)))
 
 
 def hermitian(A):
@@ -315,7 +313,7 @@ class TestStackedHermitianEig:
         H[1, 1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for M in (H, np.array([np.eye(3), H])):
+            for M in (H[None], np.array([np.eye(3), H])):
                 with pytest.raises(ArithmeticError, match="^Jacobi eigensolver did not converge$"):
                     dl.hermitian_eig(M)
 
